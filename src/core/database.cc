@@ -8,43 +8,11 @@
 #include "storage/btree.h"
 #include "util/coding.h"
 #include "util/logging.h"
+#include "util/op_scope.h"
 
 namespace ode {
 
 namespace {
-
-/// Deadline watcher for the read path: journals + force-traces a dereference
-/// that blew its threshold.  A zero threshold (the default) costs one branch
-/// and reads no clock.
-class SlowOpGuard {
- public:
-  SlowOpGuard(EventLog* log, Tracer* tracer, const char* op,
-              uint32_t threshold_us)
-      : log_(log),
-        tracer_(tracer),
-        op_(op),
-        threshold_us_(threshold_us),
-        start_ns_(threshold_us == 0 ? 0 : Histogram::NowNanos()) {}
-
-  ~SlowOpGuard() {
-    if (threshold_us_ == 0) return;
-    const uint64_t end_ns = Histogram::NowNanos();
-    const uint64_t duration_us = (end_ns - start_ns_) / 1000;
-    if (duration_us < threshold_us_) return;
-    log_->Record(EventType::kSlowOp, EventSeverity::kWarn, duration_us,
-                 threshold_us_, 0, op_);
-    // Unconditional span — the one operation that blew its deadline must be
-    // visible regardless of the sampling rate.
-    if (tracer_ != nullptr) tracer_->Record(op_, "slow", start_ns_, end_ns);
-  }
-
- private:
-  EventLog* log_;
-  Tracer* tracer_;
-  const char* op_;
-  uint32_t threshold_us_;
-  uint64_t start_ns_;
-};
 
 /// Identity delta: COPY the whole base.  Lets newversion run without
 /// materializing the base payload (the "small changes have small impact"
@@ -142,18 +110,12 @@ Status DatabaseOptions::Validate() const {
     return Status::InvalidArgument(
         "metrics_sample_every must be 0 (off) or a power of two");
   }
-  if (trace_buffer_events < 1) {
-    return Status::InvalidArgument("trace_buffer_events must be >= 1");
-  }
   if (!IsZeroOrPowerOfTwo(trace_sample_every)) {
     return Status::InvalidArgument(
         "trace_sample_every must be 0 (off) or a power of two");
   }
   if (event_log_buffer_events < 1) {
     return Status::InvalidArgument("event_log_buffer_events must be >= 1");
-  }
-  if (event_log_ring_events < 1) {
-    return Status::InvalidArgument("event_log_ring_events must be >= 1");
   }
   if (diagnostics_retain < 1) {
     return Status::InvalidArgument("diagnostics_retain must be >= 1");
@@ -174,21 +136,17 @@ StatusOr<std::unique_ptr<Database>> Database::Open(
   }
   db->metrics_.Attach(db->registry_);
   db->deref_sampler_ = Sampler(options.metrics_sample_every);
-  db->tracer_ = std::make_unique<Tracer>(options.trace_buffer_events);
-  db->tracer_->set_sample_every(options.trace_sample_every);
   db->event_log_ = std::make_unique<EventLog>(options.event_log_buffer_events,
-                                              options.event_log_ring_events,
                                               options.clock);
-  db->event_log_->set_enabled(options.event_log_enabled);
+  db->event_log_->set_sample_every(options.trace_sample_every);
   db->payload_cache_ = std::make_unique<VersionPayloadCache>(
       options.payload_cache_bytes, options.payload_cache_shards);
   db->latest_cache_ = std::make_unique<LatestVersionCache>(
       options.latest_cache_entries, options.latest_cache_shards);
-  // The storage engine records into the same registry and tracer unless the
+  // The storage engine records into the same registry and journal unless the
   // caller explicitly routed it elsewhere.
   StorageOptions storage = options.storage;
   if (storage.metrics == nullptr) storage.metrics = db->registry_;
-  if (storage.tracer == nullptr) storage.tracer = db->tracer_.get();
   if (storage.event_log == nullptr) storage.event_log = db->event_log_.get();
   // Flight recorder: when the engine poisons itself, its background thread
   // fires this hook — dump everything while the evidence is fresh.  A
@@ -513,8 +471,7 @@ Status Database::Materialize(PageIO& io, ObjectId oid, const VersionMeta& meta,
       return Status::OK();
     }
   }
-  TraceSpan span(tracer_.get(), "core.materialize", "core");
-  ScopedLatency timer(metrics_.materialize_ns);
+  OpScope op(event_log_.get(), "core.materialize", metrics_.materialize_ns);
   metrics_.materializations->Increment();
   if (meta.kind == PayloadKind::kFull) {
     auto bytes = engine_->heap().Read(&io, meta.payload);
@@ -817,7 +774,7 @@ Status Database::RecomputeChainLengths(Txn& txn, VersionId base,
 
 Status Database::DoPnew(Txn& txn, uint32_t type_id, const Slice& payload,
                         VersionId* out) {
-  TraceSpan span(tracer_.get(), "core.pnew", "core");
+  OpScope op(event_log_.get(), "core.pnew", nullptr);
   auto ts = NextTimestamp(txn);
   if (!ts.ok()) return ts.status();
   auto oid = AllocateOid(txn);
@@ -862,7 +819,7 @@ StatusOr<VersionId> Database::PnewRaw(uint32_t type_id, const Slice& payload) {
 Status Database::DoNewVersion(Txn& txn, ObjectId oid,
                               std::optional<VersionNum> base_vnum,
                               VersionId* out) {
-  TraceSpan span(tracer_.get(), "core.newversion", "core");
+  OpScope op(event_log_.get(), "core.newversion", nullptr);
   ObjectHeader header;
   ODE_RETURN_IF_ERROR(GetHeader(txn, oid, &header));
   const VersionNum base = base_vnum.value_or(header.latest);
@@ -942,7 +899,7 @@ StatusOr<VersionId> Database::NewVersionFrom(VersionId vid) {
 }
 
 Status Database::DoUpdate(Txn& txn, VersionId vid, const Slice& payload) {
-  TraceSpan span(tracer_.get(), "core.update", "core");
+  OpScope op(event_log_.get(), "core.update", nullptr);
   VersionMeta meta;
   ODE_RETURN_IF_ERROR(GetMeta(txn, vid, &meta));
   ObjectHeader header;
@@ -984,16 +941,12 @@ Status Database::UpdateLatest(ObjectId oid, const Slice& payload) {
 StatusOr<std::string> Database::ReadVersion(VersionId vid) {
   std::string result;
   // Overhead budget: the warm cache-hit path below pays one thread-local
-  // sampler tick and two register-value tests; the clock reads and the
-  // tracer load happen only on the sampled 1-in-N iterations.  Deref trace
-  // spans therefore ride the metrics sampler's decision (odedump trace
-  // opens with both knobs at 1).
-  const bool sampled = deref_sampler_.Tick();
-  ScopedLatency timer(sampled ? metrics_.deref_version_ns : nullptr);
-  TraceSpan span(sampled ? tracer_.get() : nullptr, "core.deref_version",
-                 "core");
-  SlowOpGuard slow(event_log_.get(), tracer_.get(), "slow.deref_version",
-                   options_.slow_deref_us);
+  // sampler tick and a few register tests; the clock reads and the span
+  // sampler run only on the sampled 1-in-N iterations (or when a slow
+  // threshold is set).  Deref trace spans therefore ride the metrics
+  // sampler's decision (odedump trace opens with both knobs at 1).
+  OpScope op(event_log_.get(), "core.deref_version", metrics_.deref_version_ns,
+             options_.slow_deref_us, deref_sampler_.Tick());
   // Hot path: a resident payload needs no transaction and no catalog lookup.
   // Safe even inside an open transaction: mutators invalidate immediately,
   // so residency implies the entry reflects the current (possibly
@@ -1015,12 +968,8 @@ StatusOr<std::string> Database::ReadVersion(VersionId vid) {
 StatusOr<std::string> Database::ReadLatest(ObjectId oid, VersionId* resolved) {
   std::string result;
   // Sampled latency + trace span; see ReadVersion for the overhead budget.
-  const bool sampled = deref_sampler_.Tick();
-  ScopedLatency timer(sampled ? metrics_.deref_latest_ns : nullptr);
-  TraceSpan span(sampled ? tracer_.get() : nullptr, "core.deref_latest",
-                 "core");
-  SlowOpGuard slow(event_log_.get(), tracer_.get(), "slow.deref_latest",
-                   options_.slow_deref_us);
+  OpScope op(event_log_.get(), "core.deref_latest", metrics_.deref_latest_ns,
+             options_.slow_deref_us, deref_sampler_.Tick());
   // Hot path for the generic (late-bound) dereference: resolve oid -> latest
   // through the resolution cache, then the payload through the payload cache;
   // a double hit touches neither the catalog nor the heap.
@@ -1058,7 +1007,7 @@ StatusOr<std::string> Database::ReadLatest(ObjectId oid, VersionId* resolved) {
 }
 
 Status Database::DoDeleteVersion(Txn& txn, VersionId vid) {
-  TraceSpan span(tracer_.get(), "core.delete_version", "core");
+  OpScope op(event_log_.get(), "core.delete_version", nullptr);
   VersionMeta meta;
   ODE_RETURN_IF_ERROR(GetMeta(txn, vid, &meta));
   ObjectHeader header;
@@ -1146,7 +1095,7 @@ Status Database::PdeleteVersion(VersionId vid) {
 }
 
 Status Database::DoDeleteObject(Txn& txn, ObjectId oid) {
-  TraceSpan span(tracer_.get(), "core.delete_object", "core");
+  OpScope op(event_log_.get(), "core.delete_object", nullptr);
   ObjectHeader header;
   ODE_RETURN_IF_ERROR(GetHeader(txn, oid, &header));
 

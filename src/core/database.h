@@ -24,7 +24,6 @@
 #include "util/status.h"
 #include "util/thread_annotations.h"
 #include "util/statusor.h"
-#include "util/trace.h"
 
 namespace ode {
 
@@ -126,30 +125,21 @@ struct DatabaseOptions {
   /// reads: the unsampled iteration costs one thread-local countdown tick.
   uint32_t metrics_sample_every = 64;
 
-  /// Per-thread trace ring-buffer capacity, in events.  Legal range: >= 1.
-  size_t trace_buffer_events = 8192;
-
-  /// Record one in N trace spans.  Legal values: 0 (tracing off) or a power
-  /// of two (1 = every span).  Can be changed at run time via
-  /// Database::tracer().set_sample_every().
+  /// Record one in N trace spans into the event journal.  Legal values: 0
+  /// (tracing off) or a power of two (1 = every span).  Can be changed at
+  /// run time via Database::event_log().set_sample_every().
   uint32_t trace_sample_every = 0;
 
-  /// Structured event journal (util/event_log.h): the flight recorder's
-  /// memory.  On by default — recording is lock-free per thread and a
-  /// disabled journal still exists (Database::event_log() never dangles),
-  /// so benches A/B the cost by flipping this, not by rebuilding.
-  bool event_log_enabled = true;
-  /// Per-thread journal ring capacity, in records.  Legal range: >= 1.
+  /// Per-thread capacity, in records, of the structured event journal
+  /// (util/event_log.h): the flight recorder's memory, which also holds the
+  /// sampled trace spans.  Legal range: >= 1.
   size_t event_log_buffer_events = 1024;
-  /// Newest records a journal snapshot/drain retains across all threads.
-  /// Legal range: >= 1.
-  size_t event_log_ring_events = 8192;
 
   /// Slow-op threshold for the dereference read path (ReadLatest /
   /// ReadVersion), microseconds; 0 (default) disables.  A dereference
-  /// exceeding it emits a kSlowOp journal record plus an unconditional trace
-  /// span.  Engine-side thresholds (commit, checkpoint) live in
-  /// storage.slow_commit_us / storage.slow_checkpoint_us.
+  /// taking longer emits a kSlowOp journal record, which also shows in the
+  /// Chrome trace regardless of sampling.  Engine-side thresholds (commit,
+  /// checkpoint) live in storage.slow_commit_us / storage.slow_checkpoint_us.
   uint32_t slow_deref_us = 0;
 
   /// Diagnostics dumps retained in the database directory: writing
@@ -499,12 +489,9 @@ class Database {
   /// the registry first.  Thread-safe.
   MetricsRegistry::Snapshot MetricsSnapshot() const;
 
-  /// The database's event tracer (always present; records nothing until
-  /// sampling is enabled via options or set_sample_every).
-  Tracer& tracer() const { return *tracer_; }
-
-  /// The structured event journal (always present; see
-  /// DatabaseOptions::event_log_enabled).
+  /// The structured event journal, which also holds the sampled trace spans
+  /// (none until DatabaseOptions::trace_sample_every or set_sample_every
+  /// turns sampling on).  Always present.
   EventLog& event_log() const { return *event_log_; }
 
   /// Writes a flight-recorder dump — DIAGNOSTICS-<seq>.json in the database
@@ -697,7 +684,6 @@ class Database {
   std::unique_ptr<MetricsRegistry> owned_registry_;
   MetricsRegistry* registry_ = nullptr;
   CoreMetrics metrics_;
-  std::unique_ptr<Tracer> tracer_;
   /// Also before engine_: the engine journals into it through its very last
   /// breath (the destructor's final checkpoint and the poison-triggered
   /// diagnostics hook).

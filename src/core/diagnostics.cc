@@ -116,6 +116,11 @@ StatusOr<std::string> Database::DumpDiagnostics(std::string_view trigger) {
                      static_cast<uint64_t>(health.state), seq, 0, trigger);
   std::vector<EventRecord> events;
   event_log_->Snapshot(&events);
+  if (events.size() > kDiagnosticsJournalEvents) {
+    events.erase(events.begin(),
+                 events.end() -
+                     static_cast<ptrdiff_t>(kDiagnosticsJournalEvents));
+  }
   const uint64_t ts_micros = events.empty() ? 0 : events.back().ts_micros;
 
   JsonWriter w;
@@ -207,15 +212,9 @@ StatusOr<std::string> Database::DumpDiagnostics(std::string_view trigger) {
     w.EndObject();
   }
 
-  w.Key("tracer");
-  w.BeginObject();
-  w.KV("pending_events", static_cast<uint64_t>(tracer_->pending_events()));
-  w.KV("dropped_events", tracer_->dropped_events());
-  w.KV("sample_every", tracer_->sample_every());
-  w.EndObject();
-
   w.Key("event_log");
   w.BeginObject();
+  w.KV("sample_every", event_log_->sample_every());
   w.KV("dropped_events", event_log_->dropped_events());
   w.KV("total_recorded", event_log_->total_recorded());
   w.Key("events");

@@ -33,6 +33,10 @@ class Env;
 /// Filename prefix of every dump file ("DIAGNOSTICS-<seq>.json").
 inline constexpr std::string_view kDiagnosticsFilePrefix = "DIAGNOSTICS-";
 
+/// Newest journal records a dump embeds (across all threads); older ones
+/// are left out of the document, not out of the journal.
+inline constexpr size_t kDiagnosticsJournalEvents = 8192;
+
 /// Filename of the periodic metrics export (see
 /// DatabaseOptions::stats_export_interval_ms); ode_top polls this file.
 inline constexpr std::string_view kMetricsExportFileName = "METRICS.json";

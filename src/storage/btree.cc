@@ -6,6 +6,7 @@
 
 #include "storage/storage_metrics.h"
 #include "util/coding.h"
+#include "util/op_scope.h"
 
 namespace ode {
 
@@ -258,8 +259,8 @@ StatusOr<BTree> BTree::Open(PageIO* io, int root_slot) {
 
 Status BTree::DescendToLeaf(const Slice& key, std::vector<PageId>* path) {
   StorageMetrics* metrics = io_->metrics();
-  ScopedLatency timer(metrics != nullptr ? metrics->btree_descend_ns
-                                         : nullptr);
+  OpScope op(metrics != nullptr ? metrics->events : nullptr, "btree.descend",
+             metrics != nullptr ? metrics->btree_descend_ns : nullptr);
   if (metrics != nullptr) metrics->btree_descents->Increment();
   path->clear();
   PageId current = root_;

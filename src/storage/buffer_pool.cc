@@ -5,6 +5,7 @@
 
 #include "storage/storage_metrics.h"
 #include "util/logging.h"
+#include "util/op_scope.h"
 
 namespace ode {
 
@@ -91,8 +92,9 @@ StatusOr<PageHandle> BufferPool::Fetch(PageId id) {
   frame.id = id;
   frame.data = std::make_unique<char[]>(kPageSize);
   {
-    ScopedLatency timer(metrics_ != nullptr ? metrics_->page_read_ns
-                                            : nullptr);
+    OpScope op(metrics_ != nullptr ? metrics_->events : nullptr,
+               "storage.page_read",
+               metrics_ != nullptr ? metrics_->page_read_ns : nullptr);
     if (Status s = disk_->ReadPage(id, frame.data.get()); !s.ok()) {
       shard.frames.erase(ins_it);
       return s;
@@ -165,8 +167,9 @@ Status BufferPool::FlushAll() {
     for (auto& [id, frame] : shard.frames) {
       if (frame.dirty) {
         {
-          ScopedLatency timer(metrics_ != nullptr ? metrics_->page_write_ns
-                                                  : nullptr);
+          OpScope op(metrics_ != nullptr ? metrics_->events : nullptr,
+                     "storage.page_write",
+                     metrics_ != nullptr ? metrics_->page_write_ns : nullptr);
           ODE_RETURN_IF_ERROR(disk_->WritePage(id, frame.data.get()));
         }
         if (metrics_ != nullptr) metrics_->page_writes->Increment();

@@ -9,6 +9,7 @@
 #include "storage/superblock.h"
 #include "util/coding.h"
 #include "util/logging.h"
+#include "util/op_scope.h"
 
 namespace ode {
 
@@ -208,7 +209,7 @@ StatusOr<std::unique_ptr<StorageEngine>> StorageEngine::Open(
     engine->owned_registry_ = std::make_unique<MetricsRegistry>();
     registry = engine->owned_registry_.get();
   }
-  engine->metrics_.Attach(registry, options.tracer);
+  engine->metrics_.Attach(registry);
   engine->metrics_.events = options.event_log;
   engine->payload_store_.AttachMetrics(registry);
 
@@ -414,15 +415,14 @@ Status StorageEngine::Commit(Txn* txn) ODE_NO_THREAD_SAFETY_ANALYSIS {
   }
   const bool sync_mode = options_.commit_mode == CommitMode::kSync;
   const uint64_t txn_id = txn->id_;
-  const uint64_t commit_t0_ns = Histogram::NowNanos();
   size_t dirty_pages = 0;
   Status wait_status;
+  // The timing scope covers apply + enqueue + the durability wait (but not
+  // checkpoint signaling), so txn.commit_ns measures what the caller
+  // experiences for the chosen commit mode.
+  OpScope op(metrics_.events, "txn.commit", metrics_.txn_commit_ns,
+             options_.slow_commit_us);
   {
-    // The timing scope covers apply + enqueue + the durability wait (but not
-    // checkpoint signaling), so txn.commit_ns measures what the caller
-    // experiences for the chosen commit mode.
-    TraceSpan span(metrics_.tracer, "txn.commit", "storage");
-    ScopedLatency timer(metrics_.txn_commit_ns);
     uint64_t ticket = 0;
     bool enqueued = false;
     const auto& dirtied = pool_->EpochDirtyPages();
@@ -479,10 +479,9 @@ Status StorageEngine::Commit(Txn* txn) ODE_NO_THREAD_SAFETY_ANALYSIS {
                               : group_commit_->WaitAppended(ticket);
     }
   }
+  const uint64_t commit_ns = op.Finish();
   metrics_.RecordEvent(EventType::kTxnCommit, EventSeverity::kDebug, txn_id,
-                       dirty_pages,
-                       (Histogram::NowNanos() - commit_t0_ns) / 1000);
-  NoteSlowOp("slow.commit", commit_t0_ns, options_.slow_commit_us);
+                       dirty_pages, commit_ns / 1000);
   if (wal_bytes() > options_.checkpoint_wal_bytes) SignalCheckpointer();
   return wait_status;
 }
@@ -567,9 +566,8 @@ Status StorageEngine::Checkpoint() {
     return Status::FailedPrecondition("cannot checkpoint mid-transaction");
   }
   if (poisoned()) return poison_status();
-  TraceSpan span(metrics_.tracer, "storage.checkpoint", "storage");
-  ScopedLatency timer(metrics_.checkpoint_ns);
-  const uint64_t ckpt_t0_ns = Histogram::NowNanos();
+  OpScope op(metrics_.events, "storage.checkpoint", metrics_.checkpoint_ns,
+             options_.slow_checkpoint_us);
   const uint64_t wal_backlog = wal_bytes();
   WriterMutexLock lock(rw_mutex_);
   // WAL-before-data: every queued/appended commit must be fsynced before its
@@ -586,23 +584,7 @@ Status StorageEngine::Checkpoint() {
   metrics_.RecordEvent(EventType::kCheckpoint, EventSeverity::kInfo,
                        checkpoint_count_.load(std::memory_order_relaxed),
                        wal_backlog);
-  NoteSlowOp("slow.checkpoint", ckpt_t0_ns, options_.slow_checkpoint_us);
   return Status::OK();
-}
-
-void StorageEngine::NoteSlowOp(const char* op, uint64_t start_ns,
-                               uint32_t threshold_us) {
-  if (threshold_us == 0) return;
-  const uint64_t end_ns = Histogram::NowNanos();
-  const uint64_t duration_us = (end_ns - start_ns) / 1000;
-  if (duration_us <= threshold_us) return;
-  metrics_.RecordEvent(EventType::kSlowOp, EventSeverity::kWarn, duration_us,
-                       threshold_us, 0, op);
-  // Bypass sampling: the one operation that blew its deadline must appear
-  // in the trace even when the tracer would have sampled it out.
-  if (metrics_.tracer != nullptr) {
-    metrics_.tracer->Record(op, "slow", start_ns, end_ns);
-  }
 }
 
 Status StorageEngine::WaitForDurable(uint64_t txn_id) {

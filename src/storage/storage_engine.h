@@ -92,17 +92,15 @@ struct StorageOptions {
   /// engine owns a private registry (instruments always exist either way,
   /// so hot paths never null-check individual counters).
   MetricsRegistry* metrics = nullptr;
-  /// Event tracer for storage spans (commit, fsync, checkpoint); nullptr
-  /// disables span recording entirely.
-  Tracer* tracer = nullptr;
   /// Structured event journal the engine records into (txn lifecycle,
-  /// group-commit batches, checkpoints, poison, slow ops); nullptr disables
-  /// journaling entirely.  Not owned.
+  /// group-commit batches, checkpoints, poison, slow ops, and the trace
+  /// spans of commit, checkpoint, WAL and page I/O); nullptr disables
+  /// journaling and tracing entirely.  Not owned.
   EventLog* event_log = nullptr;
   /// Slow-op thresholds in microseconds (0 = off).  A commit / checkpoint
-  /// exceeding its threshold emits a kSlowOp journal record and an
-  /// unconditional trace span (bypassing sampling), so the one operation
-  /// that blew its deadline is always visible.
+  /// taking longer than its threshold emits a kSlowOp journal record, which
+  /// bypasses span sampling and renders as a span in the Chrome trace, so
+  /// the one operation that blew its deadline is always visible.
   uint32_t slow_commit_us = 0;
   uint32_t slow_checkpoint_us = 0;
   /// HealthCheck degrades when the WAL backlog exceeds this many bytes
@@ -351,9 +349,6 @@ class StorageEngine {
   Status InitSuperblockIfNeeded();
   /// Marks the engine permanently failed (first cause wins).
   void Poison(const Status& cause);
-  /// Journals + force-traces an operation that exceeded its deadline
-  /// (no-op when `threshold_us` is 0).
-  void NoteSlowOp(const char* op, uint64_t start_ns, uint32_t threshold_us);
   /// Wakes the background checkpointer for a WAL-threshold check.
   void SignalCheckpointer();
   /// Body of the background checkpointer thread.

@@ -3,7 +3,6 @@
 
 #include "util/event_log.h"
 #include "util/metrics.h"
-#include "util/trace.h"
 
 namespace ode {
 
@@ -75,11 +74,8 @@ struct StorageMetrics {
   Gauge* checkpointer_lag_us = nullptr;
   Gauge* health_state = nullptr;  ///< 0 ok / 1 degraded / 2 poisoned.
 
-  /// Event tracer for this engine's spans; may be null (tracing not set up).
-  Tracer* tracer = nullptr;
-
-  /// Structured event journal (util/event_log.h); may be null (journaling
-  /// not set up).  Set by the engine from StorageOptions::event_log, not by
+  /// Structured event journal (util/event_log.h), which also takes this
+  /// engine's trace spans; may be null (journaling not set up).  Set by the engine from StorageOptions::event_log, not by
   /// Attach — the journal is owned above the registry.
   EventLog* events = nullptr;
 
@@ -90,7 +86,7 @@ struct StorageMetrics {
     if (events != nullptr) events->Record(type, severity, a, b, c, detail);
   }
 
-  void Attach(MetricsRegistry* registry, Tracer* trace) {
+  void Attach(MetricsRegistry* registry) {
     page_reads = registry->GetCounter("storage.page_reads");
     page_read_ns = registry->GetHistogram("storage.page_read_ns");
     page_writes = registry->GetCounter("storage.page_writes");
@@ -125,7 +121,6 @@ struct StorageMetrics {
     hb_vacuum_us = registry->GetGauge("health.vacuum_heartbeat_us");
     checkpointer_lag_us = registry->GetGauge("health.checkpointer_lag_us");
     health_state = registry->GetGauge("health.state");
-    tracer = trace;
   }
 };
 

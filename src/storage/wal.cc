@@ -8,6 +8,7 @@
 #include "util/coding.h"
 #include "util/crc32c.h"
 #include "util/logging.h"
+#include "util/op_scope.h"
 
 namespace ode {
 
@@ -63,8 +64,9 @@ void Wal::EncodeCommit(uint64_t txn_id, std::string* out) {
 
 Status Wal::AppendBlob(const std::string& framed, uint64_t record_count) {
   {
-    ScopedLatency timer(metrics_ != nullptr ? metrics_->wal_append_ns
-                                            : nullptr);
+    OpScope op(metrics_ != nullptr ? metrics_->events : nullptr,
+               "wal.append",
+               metrics_ != nullptr ? metrics_->wal_append_ns : nullptr);
     ODE_RETURN_IF_ERROR(file_->Append(Slice(framed)));
   }
   bytes_appended_.fetch_add(framed.size(), std::memory_order_relaxed);
@@ -95,9 +97,8 @@ Status Wal::AppendCommit(uint64_t txn_id) {
 }
 
 Status Wal::Sync() {
-  TraceSpan span(metrics_ != nullptr ? metrics_->tracer : nullptr, "wal.fsync",
-                 "storage");
-  ScopedLatency timer(metrics_ != nullptr ? metrics_->wal_fsync_ns : nullptr);
+  OpScope op(metrics_ != nullptr ? metrics_->events : nullptr, "wal.fsync",
+             metrics_ != nullptr ? metrics_->wal_fsync_ns : nullptr);
   ODE_RETURN_IF_ERROR(file_->Sync());
   sync_count_.fetch_add(1, std::memory_order_relaxed);
   if (metrics_ != nullptr) metrics_->wal_fsyncs->Increment();

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 
 #include "util/coding.h"
 #include "util/json.h"
+#include "util/metrics.h"
 #include "util/slice.h"
 
 namespace ode {
@@ -16,12 +18,21 @@ std::atomic<uint64_t> g_next_log_id{1};
 
 struct TlsEntry {
   uint64_t log_id;
-  std::shared_ptr<void> buffer;  // Actually EventLog::ThreadBuffer.
+  void* buffer;  // Actually EventLog::ThreadBuffer; owned by the log.
+  // Expires with the log (which holds the only strong references), so a
+  // destroyed log's entry can be told apart from a live one and pruned.
+  std::weak_ptr<void> alive;
 };
 
-/// Per-thread map of log id -> this thread's ring buffer (one entry per
-/// EventLog the thread ever recorded into, scanned linearly).
+/// Per-thread map of log id -> this thread's ring buffer, scanned linearly.
+/// Ids are never reused, so a hit always belongs to the live log asking.
 thread_local std::vector<TlsEntry> tls_buffers;
+
+uint64_t WallMicros() {
+  const auto now = std::chrono::system_clock::now().time_since_epoch();
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(now).count());
+}
 
 constexpr char kBinaryMagic[4] = {'O', 'D', 'E', 'J'};
 constexpr uint32_t kBinaryVersion = 1;
@@ -31,20 +42,27 @@ constexpr size_t kBinaryRecordBytes =
 
 }  // namespace
 
-EventLog::EventLog(size_t buffer_events, size_t ring_events, Clock* clock)
+EventLog::EventLog(size_t buffer_events, Clock* clock)
     : buffer_events_(std::max<size_t>(buffer_events, 8)),
-      ring_events_(std::max<size_t>(ring_events, 8)),
       id_(g_next_log_id.fetch_add(1, std::memory_order_relaxed)),
-      clock_(clock) {}
+      clock_(clock),
+      steady_to_wall_us_(static_cast<int64_t>(WallMicros()) -
+                         static_cast<int64_t>(Histogram::NowNanos() / 1000)) {
+}
 
 EventLog::~EventLog() = default;
 
+size_t EventLog::ThreadTableSize() { return tls_buffers.size(); }
+
 EventLog::ThreadBuffer* EventLog::BufferForThisThread() {
   for (const TlsEntry& e : tls_buffers) {
-    if (e.log_id == id_) {
-      return static_cast<ThreadBuffer*>(e.buffer.get());
-    }
+    if (e.log_id == id_) return static_cast<ThreadBuffer*>(e.buffer);
   }
+  // Miss: this thread's first record into this log.  Drop the entries of
+  // logs destroyed since, or every Database a long-lived thread ever
+  // touched would stay in the table.
+  std::erase_if(tls_buffers,
+                [](const TlsEntry& e) { return e.alive.expired(); });
   auto buffer = std::make_shared<ThreadBuffer>();
   {
     // Pre-publication, so the lock is uncontended; taken anyway to keep the
@@ -57,8 +75,21 @@ EventLog::ThreadBuffer* EventLog::BufferForThisThread() {
     buffer->tid = next_tid_++;
     buffers_.push_back(buffer);
   }
-  tls_buffers.push_back(TlsEntry{id_, buffer});
+  tls_buffers.push_back(TlsEntry{id_, buffer.get(), buffer});
   return buffer.get();
+}
+
+bool EventLog::SampleSpanSlow() {
+  const uint32_t every = sample_every();
+  if (every == 0) return false;
+  ThreadBuffer* buf = BufferForThisThread();
+  // sample_countdown is only touched by the owning thread.
+  if (buf->sample_countdown == 0) {
+    buf->sample_countdown = every - 1;
+    return true;
+  }
+  --buf->sample_countdown;
+  return false;
 }
 
 uint64_t EventLog::NowMicros() {
@@ -66,9 +97,7 @@ uint64_t EventLog::NowMicros() {
     MutexLock lock(clock_mu_);
     return clock_->Now();
   }
-  const auto now = std::chrono::system_clock::now().time_since_epoch();
-  uint64_t us = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(now).count());
+  const uint64_t us = WallMicros();
   // Force monotone non-decreasing across threads (relaxed max loop).
   uint64_t last = wall_last_.load(std::memory_order_relaxed);
   while (us > last && !wall_last_.compare_exchange_weak(
@@ -77,15 +106,40 @@ uint64_t EventLog::NowMicros() {
   return std::max(us, last);
 }
 
+uint64_t EventLog::MicrosAt(uint64_t steady_ns) {
+  if (clock_ != nullptr) return NowMicros();
+  return static_cast<uint64_t>(steady_to_wall_us_ +
+                               static_cast<int64_t>(steady_ns / 1000));
+}
+
 void EventLog::Record(EventType type, EventSeverity severity, uint64_t a,
                       uint64_t b, uint64_t c, std::string_view detail) {
-  if (!enabled()) return;
-  if (static_cast<uint8_t>(severity) <
-      min_severity_.load(std::memory_order_relaxed)) {
-    return;
-  }
+  Append(type, severity, NowMicros(), a, b, c, detail);
+}
+
+void EventLog::RecordSpan(std::string_view name, uint64_t start_ns,
+                          uint64_t end_ns) {
+  Append(EventType::kSpan, EventSeverity::kDebug, MicrosAt(end_ns), start_ns,
+         end_ns - start_ns, 0, name);
+}
+
+void EventLog::RecordSlowOp(std::string_view name, uint64_t start_ns,
+                            uint64_t end_ns, uint32_t threshold_us) {
+  // "core.deref_latest" -> "slow.deref_latest": the Chrome rendering files
+  // every slow op under the "slow" category.
+  char detail[EventRecord::kDetailBytes];
+  // npos + 1 == 0: a name without a dot is kept whole.
+  const std::string_view op = name.substr(name.find('.') + 1);
+  std::snprintf(detail, sizeof(detail), "slow.%.*s",
+                static_cast<int>(op.size()), op.data());
+  Append(EventType::kSlowOp, EventSeverity::kWarn, MicrosAt(end_ns),
+         (end_ns - start_ns) / 1000, threshold_us, start_ns, detail);
+}
+
+void EventLog::Append(EventType type, EventSeverity severity, uint64_t ts,
+                      uint64_t a, uint64_t b, uint64_t c,
+                      std::string_view detail) {
   const uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t ts = NowMicros();
   ThreadBuffer* buf = BufferForThisThread();
   MutexLock lock(buf->mu);  // Uncontended except vs snapshot/drain.
   EventRecord& slot = buf->ring[buf->next % buf->ring.size()];
@@ -97,9 +151,9 @@ void EventLog::Record(EventType type, EventSeverity severity, uint64_t a,
   slot.a = a;
   slot.b = b;
   slot.c = c;
-  const size_t n = std::min(detail.size(), EventRecord::kDetailBytes - 1);
-  // ode_lint: allow(unchecked-cast) n is min()-clamped to the detail buffer.
-  std::memcpy(slot.detail, detail.data(), n);
+  // string_view::copy, not memcpy: a default (empty) detail has a null
+  // data(), which memcpy may not be handed even for zero bytes.
+  const size_t n = detail.copy(slot.detail, EventRecord::kDetailBytes - 1);
   slot.detail[n] = '\0';
   ++buf->next;
   const uint64_t live = buf->next - buf->drained_mark;
@@ -128,12 +182,6 @@ void EventLog::Collect(std::vector<EventRecord>* out, bool consume) const {
             [](const EventRecord& x, const EventRecord& y) {
               return x.seq < y.seq;
             });
-  // The merged journal is itself a bounded ring: keep the newest.
-  if (out->size() > ring_events_) {
-    out->erase(out->begin(),
-               out->begin() + static_cast<ptrdiff_t>(out->size() -
-                                                     ring_events_));
-  }
 }
 
 void EventLog::Snapshot(std::vector<EventRecord>* out) const {
@@ -188,6 +236,8 @@ const char* EventLog::TypeName(EventType t) {
       return "recovery";
     case EventType::kHealth:
       return "health";
+    case EventType::kSpan:
+      return "span";
   }
   return "unknown";
 }
@@ -225,6 +275,49 @@ std::string EventLog::ToJson(const std::vector<EventRecord>& events) {
   w.BeginArray();
   for (const EventRecord& e : events) AppendJson(&w, e);
   w.EndArray();
+  return w.Take();
+}
+
+std::string EventLog::ToChromeJson(const std::vector<EventRecord>& events) {
+  // Chrome sorts for display anyway, but a time-ordered file is nicer to
+  // eyeball and deterministic for tests.  Records are in end (seq) order.
+  std::vector<const EventRecord*> spans;
+  for (const EventRecord& e : events) {
+    if (e.type == EventType::kSpan || e.type == EventType::kSlowOp) {
+      spans.push_back(&e);
+    }
+  }
+  const auto start_ns = [](const EventRecord* e) {
+    return e->type == EventType::kSpan ? e->a : e->c;
+  };
+  std::stable_sort(spans.begin(), spans.end(),
+                   [&](const EventRecord* x, const EventRecord* y) {
+                     return start_ns(x) < start_ns(y);
+                   });
+  // Complete events with ts/dur in microseconds; Chrome accepts fractional
+  // microseconds, which keeps span records' nanosecond resolution.
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("traceEvents");
+  w.BeginArray();
+  for (const EventRecord* e : spans) {
+    const std::string_view name(e->detail);
+    const double dur_us = e->type == EventType::kSpan
+                              ? static_cast<double>(e->b) / 1000.0
+                              : static_cast<double>(e->a);
+    w.BeginObject();
+    w.KV("name", name);
+    w.KV("cat", name.substr(0, name.find('.')));
+    w.KV("ph", "X");
+    w.KV("pid", 1);
+    w.KV("tid", e->tid);
+    w.KV("ts", static_cast<double>(start_ns(e)) / 1000.0);
+    w.KV("dur", dur_us);
+    w.EndObject();
+  }
+  w.EndArray();
+  w.KV("displayTimeUnit", "ms");
+  w.EndObject();
   return w.Take();
 }
 

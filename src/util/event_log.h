@@ -17,24 +17,28 @@ namespace ode {
 class JsonWriter;
 
 // ---------------------------------------------------------------------------
-// Structured event journal (the flight recorder's memory)
+// Structured event journal (the flight recorder's memory and the tracer)
 // ---------------------------------------------------------------------------
 //
 // An EventLog is an always-on, bounded journal of typed engine events: every
 // record says *what happened* (txn commit, group-commit batch, checkpoint,
-// vacuum step, poison, injected fault, slow op, ...) with a global sequence
-// number, a timestamp, and up to three numeric arguments whose meaning is
-// fixed per type (see the EventType docs).  When the engine poisons itself
-// or a crash-matrix run fails, the journal is what the diagnostics dump
-// snapshots — the last few thousand engine decisions, in order.
+// vacuum step, poison, injected fault, slow op, timed span, ...) with a
+// global sequence number, a timestamp, and up to three numeric arguments
+// whose meaning is fixed per type (see the EventType docs).  When the engine
+// poisons itself or a crash-matrix run fails, the journal is what the
+// diagnostics dump snapshots — the last few thousand engine decisions, in
+// order.  Trace spans are records too (kSpan, sampled 1-in-N per thread via
+// set_sample_every); the Chrome trace_event file is one rendering of the
+// journal (ToChromeJson), the diagnostics dump another.  OpScope
+// (util/op_scope.h) is the guard that times an operation and records its
+// span or slow-op record here.
 //
-// The recording path follows the Tracer's design (util/trace.h): each
-// thread owns a ring buffer guarded by its own mutex, contended only by a
-// concurrent snapshot/drain, so recording never takes a shared lock.  The
-// only cross-thread state touched on record is one relaxed fetch_add for
-// the global sequence number.  When a ring wraps before a drain the oldest
-// records are overwritten and counted in dropped_events() — journaling
-// never blocks the journaled operation.
+// Each thread owns a ring buffer guarded by its own mutex, contended only
+// by a concurrent snapshot/drain, so recording never takes a shared lock.
+// The only cross-thread state touched on record is one relaxed fetch_add
+// for the global sequence number.  When a ring wraps before a drain the
+// oldest records are overwritten and counted in dropped_events() —
+// journaling never blocks the journaled operation.
 //
 // Timestamps come from an internal lock-free monotone wall-micros source by
 // default.  Tests inject a Clock (util/clock.h) for determinism; injected
@@ -42,7 +46,8 @@ class JsonWriter;
 // mutex (test-only, cost irrelevant there).
 
 /// Event taxonomy.  The trailing comment gives the meaning of the numeric
-/// args (a, b, c); unused args are 0.
+/// args (a, b, c); unused args are 0.  Steady-clock times are
+/// Histogram::NowNanos() readings.
 enum class EventType : uint8_t {
   kTxnBegin = 0,        ///< a=txn_id
   kTxnCommit = 1,       ///< a=txn_id, b=dirty_pages, c=duration_us
@@ -52,9 +57,12 @@ enum class EventType : uint8_t {
   kVacuumStep = 5,      ///< a=tree_index, b=entries_copied, c=steps_done
   kPoison = 6,          ///< a=0; detail = cause status
   kFaultInjection = 7,  ///< a=op (FaultOp), b=countdown/crash flag
-  kSlowOp = 8,          ///< a=duration_us, b=threshold_us; detail = op name
+  kSlowOp = 8,          ///< a=duration_us, b=threshold_us,
+                        ///< c=steady start ns; detail = "slow.<op>"
   kRecovery = 9,        ///< a=committed_txns, b=discarded_txns, c=pages
   kHealth = 10,         ///< a=state (0 ok / 1 degraded / 2 poisoned)
+  kSpan = 11,           ///< a=steady start ns, b=duration_ns;
+                        ///< detail = span name ("<category>.<op>")
 };
 
 enum class EventSeverity : uint8_t {
@@ -81,32 +89,25 @@ struct EventRecord {
 
 class EventLog {
  public:
-  /// `buffer_events` is the per-thread ring capacity (min 8);
-  /// `ring_events` bounds the merged journal a snapshot/drain returns
-  /// (oldest beyond the bound are discarded — the "global ring").
-  explicit EventLog(size_t buffer_events = 1024, size_t ring_events = 8192,
-                    Clock* clock = nullptr);
+  /// `buffer_events` is the per-thread ring capacity (min 8).
+  explicit EventLog(size_t buffer_events = 1024, Clock* clock = nullptr);
   ~EventLog();
 
   EventLog(const EventLog&) = delete;
   EventLog& operator=(const EventLog&) = delete;
 
-  /// Records below this severity are dropped at the call site (one relaxed
-  /// load + compare).  Default kDebug: everything is journaled.
-  void set_min_severity(EventSeverity s) {
-    min_severity_.store(static_cast<uint8_t>(s), std::memory_order_relaxed);
+  /// Record one in `n` spans per thread (0 = tracing off, 1 = every span).
+  /// Slow-op records are never sampled out.
+  void set_sample_every(uint32_t n) {
+    sample_every_.store(n, std::memory_order_relaxed);
   }
-  EventSeverity min_severity() const {
-    return static_cast<EventSeverity>(
-        min_severity_.load(std::memory_order_relaxed));
+  uint32_t sample_every() const {
+    return sample_every_.load(std::memory_order_relaxed);
   }
 
-  /// Master switch (A/B benches, paranoid deployments).  Disabled recording
-  /// is one relaxed load and a branch.
-  void set_enabled(bool on) {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
+  /// Sampling decision for one span on the calling thread.  Tracing off
+  /// costs one relaxed load and a branch.
+  bool SampleSpan() { return sample_every() != 0 && SampleSpanSlow(); }
 
   /// Appends one record to the calling thread's ring.  `detail` is copied
   /// (truncated to EventRecord::kDetailBytes - 1); pass only when the event
@@ -114,9 +115,18 @@ class EventLog {
   void Record(EventType type, EventSeverity severity, uint64_t a = 0,
               uint64_t b = 0, uint64_t c = 0, std::string_view detail = {});
 
-  /// Copies the journal (merged across threads, ascending seq, capped to
-  /// the newest `ring_events`) without consuming it — the flight recorder
-  /// uses this so a dump does not erase evidence a later dump still wants.
+  /// Appends a kSpan record for [start_ns, end_ns) on the steady clock.
+  /// Stamped from `end_ns`: reads no clock.
+  void RecordSpan(std::string_view name, uint64_t start_ns, uint64_t end_ns);
+  /// Appends the kWarn kSlowOp record of operation `name` ("<category>.<op>",
+  /// journaled as "slow.<op>") that ran [start_ns, end_ns) against
+  /// `threshold_us`.  Stamped from `end_ns`: reads no clock.
+  void RecordSlowOp(std::string_view name, uint64_t start_ns, uint64_t end_ns,
+                    uint32_t threshold_us);
+
+  /// Copies the journal (merged across threads, ascending seq) without
+  /// consuming it — the flight recorder uses this so a dump does not erase
+  /// evidence a later dump still wants.
   void Snapshot(std::vector<EventRecord>* out) const;
 
   /// Like Snapshot but consumes: drained records are not returned again.
@@ -131,6 +141,11 @@ class EventLog {
     return next_seq_.load(std::memory_order_relaxed);
   }
 
+  /// Entries in the calling thread's log -> ring table: the live logs it
+  /// has recorded into, plus destroyed ones not yet pruned (a lookup miss
+  /// prunes them), so the table stays bounded across open/close cycles.
+  static size_t ThreadTableSize();
+
   // --- Rendering / wire formats ---
 
   /// JSON array of record objects (stable schema: seq, ts_micros, type,
@@ -139,6 +154,13 @@ class EventLog {
   /// Appends one record as a JSON object to `w` (diagnostics dumps embed
   /// the journal inside a larger document).
   static void AppendJson(JsonWriter* w, const EventRecord& e);
+
+  /// Chrome trace_event JSON (`{"traceEvents":[...]}`, load it at
+  /// chrome://tracing or https://ui.perfetto.dev) of the kSpan and kSlowOp
+  /// records in `events`, ordered by start time; other records are
+  /// skipped.  Each is a complete event ("ph":"X") with ts/dur in
+  /// microseconds and "cat" = the name up to its first dot.
+  static std::string ToChromeJson(const std::vector<EventRecord>& events);
 
   /// Compact binary frame: "ODEJ" magic, format version, record count,
   /// fixed-width little-endian records.  Round-trips through DecodeBinary.
@@ -164,20 +186,28 @@ class EventLog {
     uint64_t drained_mark ODE_GUARDED_BY(mu) = 0;  // `next` at last drain.
     uint64_t dropped ODE_GUARDED_BY(mu) = 0;
     uint32_t tid = 0;  // Immutable once the buffer is published.
+    uint32_t sample_countdown = 0;  // Owner-thread only; never drained.
   };
 
   ThreadBuffer* BufferForThisThread();
+  bool SampleSpanSlow();
+  /// Journal time of a record whose caller read the steady clock at
+  /// `steady_ns` (the injected Clock instead, when there is one).
+  uint64_t MicrosAt(uint64_t steady_ns);
+  void Append(EventType type, EventSeverity severity, uint64_t ts,
+              uint64_t a, uint64_t b, uint64_t c, std::string_view detail);
   /// Shared walk for Snapshot/Drain; advances drained_mark when consuming.
   void Collect(std::vector<EventRecord>* out, bool consume) const;
 
   const size_t buffer_events_;
-  const size_t ring_events_;
   const uint64_t id_;  // Distinguishes logs across create/destroy cycles.
   Clock* const clock_;            // Nullable; serialized by clock_mu_.
   mutable Mutex clock_mu_;        // Only used when clock_ != nullptr.
   std::atomic<uint64_t> wall_last_{0};  // Monotone floor for NowMicros().
-  std::atomic<bool> enabled_{true};
-  std::atomic<uint8_t> min_severity_{0};
+  // Wall micros minus steady micros at construction: maps the steady
+  // readings spans carry onto the journal's wall timeline.
+  const int64_t steady_to_wall_us_;
+  std::atomic<uint32_t> sample_every_{0};
   std::atomic<uint64_t> next_seq_{0};
   mutable Mutex mu_;  // Guards buffers_ (registration + drain).
   std::vector<std::shared_ptr<ThreadBuffer>> buffers_ ODE_GUARDED_BY(mu_);

@@ -9,16 +9,15 @@
 namespace ode {
 
 // ---------------------------------------------------------------------------
-// Minimal JSON emission
+// Minimal JSON emission and strict checking
 // ---------------------------------------------------------------------------
 //
 // The diagnostics pipeline (event-log drain, MetricsRegistry::RenderJson,
 // StorageEngine::DumpDiagnostics) emits machine-readable JSON from several
 // layers.  Hand-rolled string concatenation scattered across those sites is
 // how malformed dumps happen, so the escaping and nesting bookkeeping live
-// here once.  This is a writer only — the consumers (odedump, ode_top, the
-// test parsers) own their own reading side, which keeps util/ free of a
-// parser nobody's hot path needs.
+// here once, beside the one strict checker that tests and the fuzz registry
+// validate exported documents with.
 
 /// Appends the JSON string-literal encoding of `s` (including the
 /// surrounding quotes) to `out`.  Control characters are \u-escaped; the
@@ -28,12 +27,17 @@ void JsonAppendEscaped(std::string* out, std::string_view s);
 /// Convenience: the escaped form as a fresh string.
 std::string JsonEscape(std::string_view s);
 
+/// Strict RFC 8259 structural validation of one complete document (nesting
+/// capped at 64 levels).  On failure, `error` (if non-null) names the
+/// problem and its byte offset.
+bool IsWellFormedJson(std::string_view s, std::string* error = nullptr);
+
 /// Emits one JSON document into an owned buffer.  The caller drives the
 /// nesting explicitly (BeginObject/EndObject, BeginArray/EndArray) and the
 /// writer inserts commas; mismatched Begin/End pairs produce malformed
 /// output rather than crashing, so tests assert on the parsed result.
 ///
-/// Doubles are emitted with enough precision to round-trip; NaN/Inf (not
+/// Doubles are emitted in their shortest form that round-trips; NaN/Inf (not
 /// representable in JSON) are emitted as 0.
 class JsonWriter {
  public:

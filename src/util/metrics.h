@@ -133,24 +133,6 @@ class Histogram {
   std::atomic<uint64_t> max_{0};
 };
 
-/// RAII latency recorder: records elapsed nanoseconds into `hist` on scope
-/// exit.  A null histogram makes the whole object a no-op (the sampled-out
-/// case), costing only one branch.
-class ScopedLatency {
- public:
-  explicit ScopedLatency(Histogram* hist)
-      : hist_(hist), start_(hist != nullptr ? Histogram::NowNanos() : 0) {}
-  ScopedLatency(const ScopedLatency&) = delete;
-  ScopedLatency& operator=(const ScopedLatency&) = delete;
-  ~ScopedLatency() {
-    if (hist_ != nullptr) hist_->Record(Histogram::NowNanos() - start_);
-  }
-
- private:
-  Histogram* hist_;
-  uint64_t start_;
-};
-
 /// Cheap run-time sampling for hot paths: true on every Nth call per thread
 /// (N rounded down to a power of two; 0 disables, 1 samples everything).
 /// The countdown is thread-local, so the unsampled fast path is one TLS

@@ -17,13 +17,13 @@
 #include "tests/testing/db_fixture.h"
 #include "tests/testing/json_util.h"
 #include "util/event_log.h"
+#include "util/json.h"
 
 namespace ode {
 namespace {
 
 using testing::FindJsonNumber;
 using testing::FindJsonString;
-using testing::IsWellFormedJson;
 using testing_internal::DatabaseFixture;
 
 // --- File naming ----------------------------------------------------------
@@ -87,10 +87,12 @@ TEST_F(DiagnosticsTest, ManualDumpIsWellFormedAndComplete) {
   // Every layer's section made it into the document.
   for (const char* key :
        {"health", "poison", "wal", "recovery", "latches", "buffer_pool",
-        "caches", "vacuum", "tracer", "event_log", "metrics"}) {
+        "caches", "vacuum", "event_log", "metrics"}) {
     EXPECT_NE(doc->find("\"" + std::string(key) + "\":"), std::string::npos)
         << "missing section: " << key;
   }
+
+  EXPECT_EQ(FindJsonNumber(*doc, "sample_every"), 0.0);  // Tracing off.
 
   // The engine journaled the workload: commits appear in the embedded
   // journal, and the dump stamped itself in as the newest (health) record.
@@ -333,20 +335,57 @@ TEST_F(DiagnosticsTest, EngineActivityIsJournaled) {
   EXPECT_TRUE(saw_checkpoint);
 }
 
-TEST_F(DiagnosticsTest, EventLogDisabledViaOptions) {
+TEST_F(DiagnosticsTest, DumpEmbedsNewestJournalRecords) {
+  // The journal itself is unbounded across threads (each thread's ring is
+  // bounded); the dump embeds only its newest kDiagnosticsJournalEvents.
   db_.reset();
   DatabaseOptions options = MakeOptions();
-  options.event_log_enabled = false;
-  auto db = Database::Open(options);
-  ASSERT_OK(db.status());
-  db_ = std::move(*db);
-  SetUpRawType();
-  MustPnew("x");
+  options.event_log_buffer_events = 2 * kDiagnosticsJournalEvents;
+  auto reopened = Database::Open(options);
+  ASSERT_OK(reopened.status());
+  db_ = std::move(*reopened);
+  for (uint64_t i = 0; i < kDiagnosticsJournalEvents + 100; ++i) {
+    db_->event_log().Record(EventType::kVacuumStep, EventSeverity::kDebug, i);
+  }
+  auto path = db_->DumpDiagnostics();
+  ASSERT_OK(path.status());
+  auto doc = ReadDiagnosticsFile(&env_, *path);
+  ASSERT_OK(doc.status());
+  std::string error;
+  ASSERT_TRUE(IsWellFormedJson(*doc, &error)) << error;
+  size_t records = 0;
+  for (size_t pos = 0; (pos = doc->find("\"seq\":", pos)) != std::string::npos;
+       ++pos) {
+    ++records;
+  }
+  // One top-level "seq" (the dump's own) plus one per embedded record.
+  EXPECT_EQ(records, kDiagnosticsJournalEvents + 1);
+  // The newest record (the dump's own health record) made it in.
+  EXPECT_NE(doc->find("\"type\":\"health\""), std::string::npos);
+}
 
-  std::vector<EventRecord> events;
-  db_->event_log().Snapshot(&events);
-  EXPECT_TRUE(events.empty());
-  EXPECT_EQ(db_->event_log().total_recorded(), 0u);
+// --- Per-thread ring table across database lifetimes ---------------------
+
+TEST(EventJournalTest, ThreadRingTableStaysBoundedAcrossReopens) {
+  // Each open journals from this thread (the pnew's begin/commit) into a
+  // fresh per-thread ring.  Closing the database must release that ring
+  // from this thread's table, or a long-lived thread that opens and closes
+  // databases keeps every one's ring alive (~96 KiB each at the default
+  // 1024-record capacity).
+  MemEnv env;
+  DatabaseOptions options;
+  options.storage.env = &env;
+  options.storage.path = "/db";
+  for (int i = 0; i < 50; ++i) {
+    auto db = Database::Open(options);
+    ASSERT_OK(db.status());
+    auto type_id = (*db)->RegisterType("raw");
+    ASSERT_OK(type_id.status());
+    ASSERT_OK((*db)->PnewRaw(*type_id, Slice("payload")).status());
+    // Live: the open database's ring, plus at most one dead log's entry not
+    // yet pruned (pruning runs on the next lookup miss).
+    EXPECT_LE(EventLog::ThreadTableSize(), 2u) << "after open #" << i;
+  }
 }
 
 }  // namespace

@@ -143,10 +143,11 @@ TEST(OptionsValidateTest, GroupCommitKnobsHaveDocumentedRanges) {
 }
 
 TEST(OptionsValidateTest, TraceBufferMustHoldAtLeastOneEvent) {
+  // Spans are journal records, so the journal's ring is the trace buffer.
   MemEnv env;
   DatabaseOptions options = BaseOptions(&env);
-  options.trace_buffer_events = 0;
-  ExpectInvalid(options, "trace_buffer_events");
+  options.event_log_buffer_events = 0;
+  ExpectInvalid(options, "event_log_buffer_events");
 }
 
 TEST(OptionsValidateTest, OpenRefusesInvalidOptionsBeforeTouchingStorage) {

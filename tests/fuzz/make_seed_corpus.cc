@@ -557,6 +557,19 @@ void EventCodecSeeds() {
     overflow.append(16, '\x00');
     WriteSeed("event_codec", "count-overflow", overflow);
   }
+  {
+    // A trace span: steady start / duration args and the span's name.
+    std::vector<ode::EventRecord> span(1);
+    span[0].seq = 7;
+    span[0].ts_micros = 5000;
+    span[0].type = ode::EventType::kSpan;
+    span[0].a = 123456789;
+    span[0].b = 4200;
+    std::snprintf(span[0].detail, sizeof(span[0].detail), "core.deref_latest");
+    std::string wire;
+    ode::EventLog::EncodeBinary(span, &wire);
+    WriteSeed("event_codec", "span-record", wire);
+  }
 }
 
 // -- JSON -------------------------------------------------------------------

@@ -9,6 +9,8 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 
@@ -17,6 +19,7 @@
 #include "storage/env.h"
 #include "tests/testing/json_util.h"
 #include "tests/testing/util.h"
+#include "util/json.h"
 
 namespace ode {
 namespace {
@@ -129,7 +132,7 @@ TEST(OdedumpToolTest, StatsJsonFormatIsWellFormed) {
   ToolResult r = RunOdedump(path + " stats --format=json");
   EXPECT_EQ(r.exit_code, 0) << r.output;
   std::string error;
-  EXPECT_TRUE(testing::IsWellFormedJson(r.output, &error))
+  EXPECT_TRUE(IsWellFormedJson(r.output, &error))
       << error << "\n" << r.output;
   EXPECT_NE(r.output.find("\"counters\""), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("\"gauges\""), std::string::npos) << r.output;
@@ -164,6 +167,41 @@ TEST(OdedumpToolTest, StatsUnknownFormatExits2) {
   EXPECT_NE(r.output.find("unknown format 'xml'"), std::string::npos)
       << r.output;
   EXPECT_NE(r.output.find("usage: odedump"), std::string::npos) << r.output;
+}
+
+/// Occurrences of `needle` in `haystack`.
+size_t CountOf(const std::string& haystack, const std::string& needle) {
+  size_t count = 0;
+  for (size_t pos = 0; (pos = haystack.find(needle, pos)) != std::string::npos;
+       ++pos) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(OdedumpToolTest, TraceWritesStrictChromeJson) {
+  const std::string path = FreshDbPath("trace");
+  BuildDatabase(path);
+  const std::string out = path + "_trace.json";
+
+  ToolResult r = RunOdedump(path + " trace --out " + out);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  std::ifstream in(out, std::ios::binary);
+  ASSERT_TRUE(in) << out;
+  const std::string json((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  std::string error;
+  ASSERT_TRUE(IsWellFormedJson(json, &error)) << error << "\n" << json;
+  EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u) << json;
+  // Every entry is a complete event, and the generic dereference pass left
+  // its spans.
+  const size_t entries = CountOf(json, "{\"name\":");
+  EXPECT_GT(entries, 0u) << json;
+  EXPECT_EQ(CountOf(json, "\"ph\":\"X\""), entries) << json;
+  EXPECT_NE(json.find("\"name\":\"core.deref_latest\""), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"name\":\"core.deref_version\""), std::string::npos)
+      << json;
 }
 
 TEST(OdedumpToolTest, DiagOnDatabaseWithoutDumpsExitsZero) {

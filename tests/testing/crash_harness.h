@@ -20,6 +20,7 @@
 #include "tests/testing/json_util.h"
 #include "tests/testing/util.h"
 #include "util/event_log.h"
+#include "util/json.h"
 
 namespace ode {
 namespace testing {
@@ -217,7 +218,7 @@ inline std::vector<std::string> VerifyDiagnosticsDump(
     const std::string& dump_json, const RecoveryStats& recovery) {
   std::vector<std::string> violations;
   std::string parse_error;
-  if (!testing::IsWellFormedJson(dump_json, &parse_error)) {
+  if (!IsWellFormedJson(dump_json, &parse_error)) {
     violations.push_back("diagnostics dump is not well-formed JSON: " +
                          parse_error);
     return violations;  // Field probes on a broken doc prove nothing.

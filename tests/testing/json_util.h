@@ -1,199 +1,19 @@
 #ifndef ODE_TESTS_TESTING_JSON_UTIL_H_
 #define ODE_TESTS_TESTING_JSON_UTIL_H_
 
-#include <cctype>
 #include <cstdlib>
 #include <optional>
 #include <string>
 #include <string_view>
 
-// Minimal JSON checking for tests.  The production tree deliberately has no
-// JSON *parser* (util/json.h only writes), so tests validate exported
-// documents with this strict recursive-descent checker and probe individual
-// values lexically.  Probes assume the writer's compact output ("key":value,
-// no spaces) and unique key names within the probed document — both true for
-// every document the engine exports.
+// Lexical JSON probes for tests.  Tests validate exported documents with
+// the strict checker in util/json.h (IsWellFormedJson) and then probe
+// individual values here.  Probes assume the writer's compact output
+// ("key":value, no spaces) and unique key names within the probed document —
+// both true for every document the engine exports.
 
 namespace ode {
 namespace testing {
-
-namespace json_internal {
-
-class Checker {
- public:
-  explicit Checker(std::string_view s) : s_(s) {}
-
-  bool Check(std::string* error) {
-    SkipWs();
-    if (!Value()) {
-      if (error != nullptr) {
-        *error = error_ + " at offset " + std::to_string(i_);
-      }
-      return false;
-    }
-    SkipWs();
-    if (i_ != s_.size()) {
-      if (error != nullptr) {
-        *error = "trailing bytes at offset " + std::to_string(i_);
-      }
-      return false;
-    }
-    return true;
-  }
-
- private:
-  void SkipWs() {
-    while (i_ < s_.size() &&
-           (s_[i_] == ' ' || s_[i_] == '\t' || s_[i_] == '\n' ||
-            s_[i_] == '\r')) {
-      ++i_;
-    }
-  }
-
-  bool Fail(const char* what) {
-    if (error_.empty()) error_ = what;
-    return false;
-  }
-
-  bool Literal(std::string_view lit) {
-    if (s_.compare(i_, lit.size(), lit) != 0) return Fail("bad literal");
-    i_ += lit.size();
-    return true;
-  }
-
-  bool String() {
-    if (i_ >= s_.size() || s_[i_] != '"') return Fail("expected string");
-    ++i_;
-    while (i_ < s_.size() && s_[i_] != '"') {
-      if (s_[i_] == '\\') {
-        ++i_;
-        if (i_ >= s_.size()) return Fail("truncated escape");
-        const char e = s_[i_];
-        if (e == 'u') {
-          for (int k = 0; k < 4; ++k) {
-            ++i_;
-            if (i_ >= s_.size() ||
-                !std::isxdigit(static_cast<unsigned char>(s_[i_]))) {
-              return Fail("bad \\u escape");
-            }
-          }
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' &&
-                   e != 'f' && e != 'n' && e != 'r' && e != 't') {
-          return Fail("bad escape");
-        }
-        ++i_;
-      } else if (static_cast<unsigned char>(s_[i_]) < 0x20) {
-        return Fail("raw control char in string");
-      } else {
-        ++i_;
-      }
-    }
-    if (i_ >= s_.size()) return Fail("unterminated string");
-    ++i_;  // Closing quote.
-    return true;
-  }
-
-  bool Number() {
-    const size_t start = i_;
-    if (i_ < s_.size() && s_[i_] == '-') ++i_;
-    if (i_ >= s_.size() || !std::isdigit(static_cast<unsigned char>(s_[i_]))) {
-      return Fail("expected digit");
-    }
-    if (s_[i_] == '0') {
-      ++i_;
-    } else {
-      while (i_ < s_.size() &&
-             std::isdigit(static_cast<unsigned char>(s_[i_]))) {
-        ++i_;
-      }
-    }
-    if (i_ < s_.size() && s_[i_] == '.') {
-      ++i_;
-      if (i_ >= s_.size() ||
-          !std::isdigit(static_cast<unsigned char>(s_[i_]))) {
-        return Fail("bad fraction");
-      }
-      while (i_ < s_.size() &&
-             std::isdigit(static_cast<unsigned char>(s_[i_]))) {
-        ++i_;
-      }
-    }
-    if (i_ < s_.size() && (s_[i_] == 'e' || s_[i_] == 'E')) {
-      ++i_;
-      if (i_ < s_.size() && (s_[i_] == '+' || s_[i_] == '-')) ++i_;
-      if (i_ >= s_.size() ||
-          !std::isdigit(static_cast<unsigned char>(s_[i_]))) {
-        return Fail("bad exponent");
-      }
-      while (i_ < s_.size() &&
-             std::isdigit(static_cast<unsigned char>(s_[i_]))) {
-        ++i_;
-      }
-    }
-    return i_ > start;
-  }
-
-  bool Value() {
-    if (++depth_ > 64) return Fail("nesting too deep");
-    SkipWs();
-    if (i_ >= s_.size()) return Fail("unexpected end");
-    bool ok = false;
-    switch (s_[i_]) {
-      case '{': ok = Object(); break;
-      case '[': ok = Array(); break;
-      case '"': ok = String(); break;
-      case 't': ok = Literal("true"); break;
-      case 'f': ok = Literal("false"); break;
-      case 'n': ok = Literal("null"); break;
-      default: ok = Number(); break;
-    }
-    --depth_;
-    return ok;
-  }
-
-  bool Object() {
-    ++i_;  // '{'
-    SkipWs();
-    if (i_ < s_.size() && s_[i_] == '}') { ++i_; return true; }
-    for (;;) {
-      SkipWs();
-      if (!String()) return false;
-      SkipWs();
-      if (i_ >= s_.size() || s_[i_] != ':') return Fail("expected ':'");
-      ++i_;
-      if (!Value()) return false;
-      SkipWs();
-      if (i_ < s_.size() && s_[i_] == ',') { ++i_; continue; }
-      if (i_ < s_.size() && s_[i_] == '}') { ++i_; return true; }
-      return Fail("expected ',' or '}'");
-    }
-  }
-
-  bool Array() {
-    ++i_;  // '['
-    SkipWs();
-    if (i_ < s_.size() && s_[i_] == ']') { ++i_; return true; }
-    for (;;) {
-      if (!Value()) return false;
-      SkipWs();
-      if (i_ < s_.size() && s_[i_] == ',') { ++i_; continue; }
-      if (i_ < s_.size() && s_[i_] == ']') { ++i_; return true; }
-      return Fail("expected ',' or ']'");
-    }
-  }
-
-  std::string_view s_;
-  size_t i_ = 0;
-  int depth_ = 0;
-  std::string error_;
-};
-
-}  // namespace json_internal
-
-/// Strict structural validation of a complete JSON document.
-inline bool IsWellFormedJson(std::string_view s, std::string* error = nullptr) {
-  return json_internal::Checker(s).Check(error);
-}
 
 /// First numeric value keyed `"key":` anywhere in the document, or nullopt.
 /// Lexical — safe because exported documents use distinct key names for

@@ -17,7 +17,8 @@
 //   caches    read every version twice, report read-cache hit rates
 //   stats     read every version once, dump the full metrics registry
 //             (--format=text|json|prom selects the rendering)
-//   trace     read every version once, emit Chrome trace_event JSON
+//   trace     read every version once and every object's latest version,
+//             emit the spans as Chrome trace_event JSON
 //             (--out <file> writes to a file instead of stdout)
 //   diag      list the flight-recorder dumps (DIAGNOSTICS-<seq>.json) and
 //             pretty-print the newest (or --file <name>); works without
@@ -31,6 +32,7 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include <algorithm>
 #include <map>
@@ -42,8 +44,8 @@
 #include "policy/history.h"
 #include "storage/env.h"
 #include "storage/payload_store.h"
+#include "util/event_log.h"
 #include "util/metrics.h"
-#include "util/trace.h"
 
 namespace {
 
@@ -495,13 +497,24 @@ int Stats(ode::Database& db, const std::string& format) {
   return 0;
 }
 
-// Runs one read pass with trace sampling forced on (main() opened the
-// database with trace_sample_every = 1), then drains every thread's ring
-// buffer into Chrome trace_event JSON (load via chrome://tracing or
-// https://ui.perfetto.dev).
+// Runs one read pass plus one generic dereference per object with trace
+// sampling forced on (main() opened the database with trace_sample_every =
+// 1), then drains the event journal and renders its spans as Chrome
+// trace_event JSON (load via chrome://tracing or https://ui.perfetto.dev).
 int Trace(ode::Database& db, const std::string& out_path) {
   if (ode::Status s = ReadPass(db); !s.ok()) return Fail(s);
-  const std::string json = db.tracer().DrainToChromeJson();
+  ode::ObjectCursor objs(db);
+  for (; objs.Valid(); objs.Next()) {
+    auto bytes = db.ReadLatest(objs.oid());
+    if (!bytes.ok()) {
+      std::fprintf(stderr, "warning: latest of object %" PRIu64 ": %s\n",
+                   objs.oid().value, bytes.status().ToString().c_str());
+    }
+  }
+  if (!objs.status().ok()) return Fail(objs.status());
+  std::vector<ode::EventRecord> events;
+  db.event_log().Drain(&events);
+  const std::string json = ode::EventLog::ToChromeJson(events);
   if (out_path.empty()) {
     std::printf("%s\n", json.c_str());
     return 0;
@@ -706,7 +719,7 @@ int main(int argc, char** argv) {
   }
   if (command == "trace") {
     options.trace_sample_every = 1;
-    options.trace_buffer_events = 1 << 16;
+    options.event_log_buffer_events = 1 << 16;
     // Dereference spans ride the metrics sampler's decision (see
     // Database::ReadLatest), so sample every call here too.
     options.metrics_sample_every = 1;
