@@ -79,11 +79,11 @@ void SetUpShared(PayloadKind strategy, CacheMode cache_mode) {
 }
 
 void TearDownShared(benchmark::State& state) {
-  const VersionStats stats = g_shared->handle->stats();
+  const MetricsRegistry::Snapshot stats = g_shared->handle->MetricsSnapshot();
   state.counters["payload_cache_hits"] =
-      static_cast<double>(stats.payload_cache_hits);
+      static_cast<double>(stats.counter("payload_cache.hits"));
   state.counters["payload_cache_misses"] =
-      static_cast<double>(stats.payload_cache_misses);
+      static_cast<double>(stats.counter("payload_cache.misses"));
   state.counters["pool_shards"] = static_cast<double>(
       g_shared->handle->storage().buffer_pool().shard_count());
   delete g_shared;
@@ -322,14 +322,14 @@ void TearDownWriterScaling(benchmark::State& state) {
   // Async runs: the measured region acked commits that are not durable yet;
   // fence them so every run pays for its whole workload.
   ODE_CHECK(db.WaitForDurable().ok());
-  const VersionStats stats = db.stats();
+  const MetricsRegistry::Snapshot stats = db.MetricsSnapshot();
   state.counters["commits_per_fsync"] =
-      stats.group_commit_fsyncs == 0
+      stats.counter("groupcommit.fsyncs") == 0
           ? 0.0
-          : static_cast<double>(stats.group_commit_commits) /
-                static_cast<double>(stats.group_commit_fsyncs);
+          : static_cast<double>(stats.counter("groupcommit.commits")) /
+                static_cast<double>(stats.counter("groupcommit.fsyncs"));
   state.counters["gc_batches"] =
-      static_cast<double>(stats.group_commit_batches);
+      static_cast<double>(stats.counter("groupcommit.batches"));
   delete g_writer_db;
   g_writer_db = nullptr;
 }

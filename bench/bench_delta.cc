@@ -47,11 +47,12 @@ void MaterializeBenchmark(benchmark::State& state, uint32_t keyframe,
   auto meta = handle->Meta(newest);
   ODE_CHECK(meta.ok());
   state.counters["chain_len"] = meta->delta_chain_len;
-  const auto& stats = handle->stats();
+  const MetricsRegistry::Snapshot stats = handle->MetricsSnapshot();
   state.counters["stored_bytes"] = benchmark::Counter(static_cast<double>(
-      stats.full_bytes_written + stats.delta_bytes_written));
+      stats.counter("core.full_bytes_written") +
+      stats.counter("core.delta_bytes_written")));
   state.counters["payload_cache_hits"] =
-      static_cast<double>(stats.payload_cache_hits);
+      static_cast<double>(stats.counter("payload_cache.hits"));
 }
 
 void BM_Materialize_Keyframe4(benchmark::State& state) {
@@ -116,9 +117,10 @@ void BM_Materialize_FullCopy(benchmark::State& state) {
     benchmark::DoNotOptimize(bytes->data());
   }
   ReportOps(state);
-  const auto& stats = handle->stats();
+  const MetricsRegistry::Snapshot stats = handle->MetricsSnapshot();
   state.counters["stored_bytes"] = benchmark::Counter(static_cast<double>(
-      stats.full_bytes_written + stats.delta_bytes_written));
+      stats.counter("core.full_bytes_written") +
+      stats.counter("core.delta_bytes_written")));
 }
 BENCHMARK(BM_Materialize_FullCopy)->Arg(2)->Arg(16)->Arg(128);
 
@@ -143,11 +145,12 @@ void TopologyBenchmark(benchmark::State& state, DeltaTopology topology) {
   auto meta = handle->Meta(newest);
   ODE_CHECK(meta.ok());
   state.counters["chain_len"] = meta->delta_chain_len;
-  const auto& stats = handle->stats();
+  const MetricsRegistry::Snapshot stats = handle->MetricsSnapshot();
   state.counters["stored_bytes"] = benchmark::Counter(static_cast<double>(
-      stats.full_bytes_written + stats.delta_bytes_written));
+      stats.counter("core.full_bytes_written") +
+      stats.counter("core.delta_bytes_written")));
   state.counters["delta_applications"] =
-      static_cast<double>(stats.delta_applications);
+      static_cast<double>(stats.counter("core.delta_applications"));
 }
 
 void BM_ColdDeref_Linear(benchmark::State& state) {
@@ -178,13 +181,14 @@ void DedupeWriteBenchmark(benchmark::State& state, bool content_addressed) {
       ODE_CHECK(handle->PnewRaw(type, Slice(payload)).ok());
     }
     state.PauseTiming();
-    const auto& stats = handle->stats();
+    const MetricsRegistry::Snapshot stats = handle->MetricsSnapshot();
     state.counters["logical_bytes"] = static_cast<double>(
-        stats.full_bytes_written + stats.delta_bytes_written);
+        stats.counter("core.full_bytes_written") +
+        stats.counter("core.delta_bytes_written"));
     state.counters["dedupe_bytes_saved"] =
-        static_cast<double>(stats.payload_dedupe_bytes_saved);
+        static_cast<double>(stats.counter("payload_store.dedupe_bytes_saved"));
     state.counters["blobs_created"] =
-        static_cast<double>(stats.payload_blobs_created);
+        static_cast<double>(stats.counter("payload_store.blobs_created"));
     state.ResumeTiming();
   }
   ReportOps(state, objects);

@@ -52,9 +52,9 @@ void DerefGeneric(benchmark::State& state, PayloadKind strategy,
   }
   ReportOps(state);
   state.counters["payload_cache_hits"] = static_cast<double>(
-      handle->stats().payload_cache_hits);
+      handle->MetricsSnapshot().counter("payload_cache.hits"));
   state.counters["latest_cache_hits"] = static_cast<double>(
-      handle->stats().latest_cache_hits);
+      handle->MetricsSnapshot().counter("latest_cache.hits"));
 }
 
 void BM_Deref_Generic(benchmark::State& state) {

@@ -15,6 +15,7 @@ namespace {
 
 struct BenchEngine {
   std::unique_ptr<MemEnv> env;
+  std::unique_ptr<MetricsRegistry> registry;
   std::unique_ptr<StorageEngine> engine;
   StorageEngine* operator->() { return engine.get(); }
 };
@@ -28,6 +29,8 @@ BenchEngine OpenEngine(size_t pool_pages = 4096,
   options.path = "/bench";
   options.buffer_pool_pages = pool_pages;
   options.event_log = event_log;
+  handle.registry = std::make_unique<MetricsRegistry>();
+  options.metrics = handle.registry.get();
   auto engine = StorageEngine::Open(options);
   ODE_CHECK(engine.ok());
   handle.engine = std::move(*engine);
@@ -187,7 +190,7 @@ void BM_PoolHitRatio(benchmark::State& state) {
   engine->buffer_pool().DropAllUnpinned();
 
   Random rng(3);
-  const auto before = engine->cache_stats();
+  const MetricsRegistry::Snapshot before = engine.registry->SnapshotAll();
   for (auto _ : state) {
     Status s = engine->WithTxn([&](Txn& txn) -> Status {
       auto bytes =
@@ -198,9 +201,12 @@ void BM_PoolHitRatio(benchmark::State& state) {
     });
     ODE_CHECK(s.ok());
   }
-  const auto& after = engine->cache_stats();
-  const double hits = static_cast<double>(after.hits - before.hits);
-  const double misses = static_cast<double>(after.misses - before.misses);
+  const MetricsRegistry::Snapshot after = engine.registry->SnapshotAll();
+  const auto delta = [&](const char* name) {
+    return static_cast<double>(after.counter(name) - before.counter(name));
+  };
+  const double hits = delta("bufferpool.hits");
+  const double misses = delta("bufferpool.misses");
   state.counters["hit_ratio"] =
       benchmark::Counter(hits / std::max(1.0, hits + misses));
 }

@@ -37,10 +37,11 @@ void NewVersionBenchmark(benchmark::State& state, PayloadKind strategy) {
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           payload_size);
+  const MetricsRegistry::Snapshot snap = handle->MetricsSnapshot();
   state.counters["full_payloads"] =
-      static_cast<double>(handle->stats().full_payloads_written);
+      static_cast<double>(snap.counter("core.full_payloads_written"));
   state.counters["delta_payloads"] =
-      static_cast<double>(handle->stats().delta_payloads_written);
+      static_cast<double>(snap.counter("core.delta_payloads_written"));
 }
 
 void BM_NewVersion_FullCopy(benchmark::State& state) {
@@ -69,10 +70,10 @@ void EditCycleBenchmark(benchmark::State& state, PayloadKind strategy) {
     SmallEdit(&payload, &rng);
     ODE_CHECK(handle->UpdateVersion(*vid, Slice(payload)).ok());
   }
-  const auto& stats = handle->stats();
+  const MetricsRegistry::Snapshot stats = handle->MetricsSnapshot();
   state.counters["bytes_per_version"] = benchmark::Counter(
-      static_cast<double>(stats.full_bytes_written +
-                          stats.delta_bytes_written) /
+      static_cast<double>(stats.counter("core.full_bytes_written") +
+                          stats.counter("core.delta_bytes_written")) /
       static_cast<double>(state.iterations()));
 }
 

@@ -119,12 +119,13 @@ int main() {
   }
   std::printf("\n");
 
-  const ode::VersionStats& stats = db.stats();
+  const ode::MetricsRegistry::Snapshot stats = db.MetricsSnapshot();
   std::printf(
       "\nstorage: %" PRIu64 " full payload bytes, %" PRIu64
       " delta payload bytes across %" PRIu64 " versions\n",
-      stats.full_bytes_written, stats.delta_bytes_written,
-      stats.pnew_count + stats.newversion_count);
+      stats.counter("core.full_bytes_written"),
+      stats.counter("core.delta_bytes_written"),
+      stats.counter("core.pnew") + stats.counter("core.newversion"));
 
   for (ode::ObjectId oid :
        {main_file->oid(), lib_file->oid(), release->oid()}) {

@@ -57,10 +57,6 @@ void Database::CoreMetrics::Attach(MetricsRegistry* registry) {
   deref_latest_ns = registry->GetHistogram("core.deref_latest_ns");
   deref_version_ns = registry->GetHistogram("core.deref_version_ns");
   materialize_ns = registry->GetHistogram("core.materialize_ns");
-  payload_cache_hits = registry->GetCounter("payload_cache.hits");
-  payload_cache_misses = registry->GetCounter("payload_cache.misses");
-  latest_cache_hits = registry->GetCounter("latest_cache.hits");
-  latest_cache_misses = registry->GetCounter("latest_cache.misses");
 }
 
 namespace {
@@ -73,10 +69,6 @@ Status DatabaseOptions::Validate() const {
   if (storage.buffer_pool_pages < 1) {
     return Status::InvalidArgument(
         "storage.buffer_pool_pages must be >= 1");
-  }
-  if (!IsZeroOrPowerOfTwo(storage.buffer_pool_shards)) {
-    return Status::InvalidArgument(
-        "storage.buffer_pool_shards must be 0 (auto) or a power of two");
   }
   if (storage.write_latch_stripes < 1 ||
       !IsZeroOrPowerOfTwo(storage.write_latch_stripes)) {
@@ -97,14 +89,6 @@ Status DatabaseOptions::Validate() const {
   // Written so NaN (every comparison false) is rejected too.
   if (!(delta_max_ratio > 0.0 && delta_max_ratio <= 1.0)) {
     return Status::InvalidArgument("delta_max_ratio must be in (0, 1]");
-  }
-  if (!IsZeroOrPowerOfTwo(payload_cache_shards)) {
-    return Status::InvalidArgument(
-        "payload_cache_shards must be 0 (auto) or a power of two");
-  }
-  if (!IsZeroOrPowerOfTwo(latest_cache_shards)) {
-    return Status::InvalidArgument(
-        "latest_cache_shards must be 0 (auto) or a power of two");
   }
   if (!IsZeroOrPowerOfTwo(metrics_sample_every)) {
     return Status::InvalidArgument(
@@ -128,25 +112,20 @@ StatusOr<std::unique_ptr<Database>> Database::Open(
   ODE_RETURN_IF_ERROR(options.Validate());
   auto db = std::unique_ptr<Database>(new Database());
   db->options_ = options;
-  if (options.metrics != nullptr) {
-    db->registry_ = options.metrics;
-  } else {
-    db->owned_registry_ = std::make_unique<MetricsRegistry>();
-    db->registry_ = db->owned_registry_.get();
-  }
-  db->metrics_.Attach(db->registry_);
+  db->registry_ = std::make_unique<MetricsRegistry>();
+  db->metrics_.Attach(db->registry_.get());
   db->deref_sampler_ = Sampler(options.metrics_sample_every);
   db->event_log_ = std::make_unique<EventLog>(options.event_log_buffer_events,
                                               options.clock);
   db->event_log_->set_sample_every(options.trace_sample_every);
   db->payload_cache_ = std::make_unique<VersionPayloadCache>(
-      options.payload_cache_bytes, options.payload_cache_shards);
+      options.payload_cache_bytes, db->registry_.get(), "payload_cache");
   db->latest_cache_ = std::make_unique<LatestVersionCache>(
-      options.latest_cache_entries, options.latest_cache_shards);
+      options.latest_cache_entries, db->registry_.get(), "latest_cache");
   // The storage engine records into the same registry and journal unless the
   // caller explicitly routed it elsewhere.
   StorageOptions storage = options.storage;
-  if (storage.metrics == nullptr) storage.metrics = db->registry_;
+  if (storage.metrics == nullptr) storage.metrics = db->registry_.get();
   if (storage.event_log == nullptr) storage.event_log = db->event_log_.get();
   // Flight recorder: when the engine poisons itself, its background thread
   // fires this hook — dump everything while the evidence is fresh.  A
@@ -1056,7 +1035,8 @@ Status Database::DoDeleteVersion(Txn& txn, VersionId vid) {
     auto clusters = BTree::Open(&txn, kClustersTreeSlot);
     if (!clusters.ok()) return clusters.status();
     ODE_RETURN_IF_ERROR(clusters->Delete(ClusterKey(header.type_id, vid.oid)));
-    payload_cache_->EraseObject(vid.oid);
+    payload_cache_->EraseIf(
+        [oid = vid.oid](const VersionId& v) { return v.oid == oid; });
     latest_cache_->Erase(vid.oid);
     metrics_.delete_object->Increment();
     FireTriggers(TriggerInfo{TriggerEvent::kDeleteVersion, vid, header.type_id,
@@ -1128,7 +1108,8 @@ Status Database::DoDeleteObject(Txn& txn, ObjectId oid) {
     if (!clusters.ok()) return clusters.status();
     ODE_RETURN_IF_ERROR(clusters->Delete(ClusterKey(header.type_id, oid)));
   }
-  payload_cache_->EraseObject(oid);
+  payload_cache_->EraseIf(
+      [oid](const VersionId& v) { return v.oid == oid; });
   latest_cache_->Erase(oid);
   metrics_.delete_version->Add(metas.size());
   metrics_.delete_object->Increment();
@@ -1589,74 +1570,6 @@ StatusOr<Database::StorageStats> Database::GatherStorageStats() {
   if (!s.ok()) return s;
   stats.wal_bytes = engine_->wal_bytes();
   return stats;
-}
-
-// ---------------------------------------------------------------------------
-// Stats
-// ---------------------------------------------------------------------------
-
-VersionStats Database::stats() const {
-  // Compatibility view over the registry's instruments.  The cache hit/miss
-  // counters come straight from the caches' own per-shard counters (nothing
-  // extra on the cache-hit fast path).  The payload numbers therefore count
-  // every probe, including delta-chain ancestor probes inside Materialize.
-  VersionStats snapshot;
-  snapshot.pnew_count = metrics_.pnew->value();
-  snapshot.newversion_count = metrics_.newversion->value();
-  snapshot.update_count = metrics_.update->value();
-  snapshot.delete_version_count = metrics_.delete_version->value();
-  snapshot.delete_object_count = metrics_.delete_object->value();
-  snapshot.materializations = metrics_.materializations->value();
-  snapshot.delta_applications = metrics_.delta_applications->value();
-  snapshot.full_payloads_written = metrics_.full_payloads_written->value();
-  snapshot.delta_payloads_written = metrics_.delta_payloads_written->value();
-  snapshot.full_bytes_written = metrics_.full_bytes_written->value();
-  snapshot.delta_bytes_written = metrics_.delta_bytes_written->value();
-  const PayloadStore& payloads = engine_->payload_store();
-  snapshot.payload_dedupe_hits = payloads.dedupe_hits()->value();
-  snapshot.payload_dedupe_bytes_saved = payloads.dedupe_bytes_saved()->value();
-  snapshot.payload_blobs_created = payloads.blobs_created()->value();
-  snapshot.payload_blobs_freed = payloads.blobs_freed()->value();
-  const PayloadCacheStats payload = payload_cache_->stats();
-  snapshot.payload_cache_hits = payload.hits;
-  snapshot.payload_cache_misses = payload.misses;
-  const PayloadCacheStats latest = latest_cache_->stats();
-  snapshot.latest_cache_hits = latest.hits;
-  snapshot.latest_cache_misses = latest.misses;
-  const StorageMetrics* storage = engine_->metrics();
-  snapshot.wal_appends = storage->wal_appends->value();
-  snapshot.wal_fsyncs = storage->wal_fsyncs->value();
-  snapshot.buffer_pool_evictions = engine_->cache_stats().evictions;
-  snapshot.txn_commits = storage->txn_commits->value();
-  snapshot.txn_aborts = storage->txn_aborts->value();
-  snapshot.group_commit_batches = storage->gc_batches->value();
-  snapshot.group_commit_commits = storage->gc_commits->value();
-  snapshot.group_commit_fsyncs = storage->gc_fsyncs->value();
-  snapshot.async_pending =
-      static_cast<uint64_t>(storage->gc_async_pending->value());
-  return snapshot;
-}
-
-void Database::RefreshMetricMirrors() const {
-  const PayloadCacheStats payload = payload_cache_->stats();
-  metrics_.payload_cache_hits->Set(payload.hits);
-  metrics_.payload_cache_misses->Set(payload.misses);
-  const PayloadCacheStats latest = latest_cache_->stats();
-  metrics_.latest_cache_hits->Set(latest.hits);
-  metrics_.latest_cache_misses->Set(latest.misses);
-  const BufferPoolStats pool = engine_->cache_stats();
-  StorageMetrics* storage = engine_->metrics();
-  storage->pool_hits->Set(pool.hits);
-  storage->pool_misses->Set(pool.misses);
-  storage->pool_evictions->Set(pool.evictions);
-  storage->pool_flushes->Set(pool.flushes);
-  storage->pool_resident_pages->Set(
-      static_cast<int64_t>(engine_->buffer_pool().resident_pages()));
-}
-
-MetricsRegistry::Snapshot Database::MetricsSnapshot() const {
-  RefreshMetricMirrors();
-  return registry_->SnapshotAll();
 }
 
 // ---------------------------------------------------------------------------

@@ -49,11 +49,11 @@ enum class DeltaTopology : uint8_t {
 /// time rather than running with surprise behavior.
 struct DatabaseOptions {
   /// Storage-engine knobs.  Legal ranges enforced by Validate():
-  /// buffer_pool_pages >= 1; buffer_pool_shards 0 (auto) or a power of two;
-  /// write_latch_stripes a power of two >= 1; group_commit_max_batch >= 1;
-  /// group_commit_max_wait_us <= 1'000'000 (one second).  commit_mode picks
-  /// the durability contract (CommitMode::kSync default; kAsync acknowledges
-  /// after the WAL append — pair with Database::WaitForDurable).
+  /// buffer_pool_pages >= 1; write_latch_stripes a power of two >= 1;
+  /// group_commit_max_batch >= 1; group_commit_max_wait_us <= 1'000'000
+  /// (one second).  commit_mode picks the durability contract
+  /// (CommitMode::kSync default; kAsync acknowledges after the WAL append —
+  /// pair with Database::WaitForDurable).
   StorageOptions storage;
 
   /// Physical strategy for version payloads:
@@ -105,19 +105,6 @@ struct DatabaseOptions {
   /// generic (late-bound) dereference skip the header B+tree lookup.
   /// 0 disables the cache.
   size_t latest_cache_entries = 1 << 16;
-
-  /// Lock-stripe counts for the two read caches; 0 = auto (collapses to one
-  /// shard for small budgets, scales to 16 for the defaults).  Legal values:
-  /// 0 or a power of two (stripe selection is a mask).
-  size_t payload_cache_shards = 0;
-  size_t latest_cache_shards = 0;
-
-  /// Registry every instrument of this database (and its storage engine)
-  /// records into.  nullptr means the database owns a PRIVATE registry —
-  /// the default, because several databases commonly coexist in one process
-  /// and their counters must not bleed into each other.  Pass
-  /// &MetricsRegistry::Default() to aggregate process-wide instead.
-  MetricsRegistry* metrics = nullptr;
 
   /// Record one in N warm-dereference latencies into the core.deref_*_ns
   /// histograms.  Legal values: 0 (disabled) or a power of two (the sampler
@@ -184,51 +171,6 @@ struct TriggerInfo {
 
 using TriggerFn = std::function<void(Database&, const TriggerInfo&)>;
 
-/// Session counters for the version store (not persisted).  Returned by
-/// value from Database::stats() as a coherent snapshot.  This is a
-/// compatibility view assembled from the database's MetricsRegistry (see
-/// Database::MetricsSnapshot() for the full instrument set, including
-/// latency histograms).
-struct VersionStats {
-  uint64_t pnew_count = 0;
-  uint64_t newversion_count = 0;
-  uint64_t update_count = 0;
-  uint64_t delete_version_count = 0;
-  uint64_t delete_object_count = 0;
-  uint64_t materializations = 0;      ///< Payload reads.
-  uint64_t delta_applications = 0;    ///< Individual deltas applied.
-  uint64_t full_payloads_written = 0;
-  uint64_t delta_payloads_written = 0;
-  uint64_t full_bytes_written = 0;
-  uint64_t delta_bytes_written = 0;
-  /// Content-addressed payload store (physical sharing).  The *_written
-  /// counters above are LOGICAL — a deduplicated write still counts its
-  /// bytes there; these report what physically happened underneath.
-  uint64_t payload_dedupe_hits = 0;        ///< Writes that shared a blob.
-  uint64_t payload_dedupe_bytes_saved = 0; ///< Bytes NOT rewritten thanks to sharing.
-  uint64_t payload_blobs_created = 0;      ///< Distinct blobs inserted.
-  uint64_t payload_blobs_freed = 0;        ///< Blobs freed at refcount zero.
-  /// Read-path cache outcomes, counted once per payload-read request (the
-  /// caches' own stats additionally count chain-internal probes).
-  uint64_t payload_cache_hits = 0;
-  uint64_t payload_cache_misses = 0;
-  uint64_t latest_cache_hits = 0;
-  uint64_t latest_cache_misses = 0;
-  /// Storage-layer counters (from the engine's instruments).
-  uint64_t wal_appends = 0;
-  uint64_t wal_fsyncs = 0;
-  uint64_t buffer_pool_evictions = 0;
-  uint64_t txn_commits = 0;  ///< Engine commits, incl. internal bootstrap.
-  uint64_t txn_aborts = 0;
-  /// Group-commit counters: commits/fsyncs > 1 means concurrent writers are
-  /// amortizing fsyncs (the whole point of the group-commit WAL).
-  uint64_t group_commit_batches = 0;
-  uint64_t group_commit_commits = 0;
-  uint64_t group_commit_fsyncs = 0;
-  /// Commits acknowledged (kAsync) or queued but not yet fsync-covered.
-  uint64_t async_pending = 0;
-};
-
 /// The Ode object-versioning database: the paper's model (§3) and constructs
 /// (§4) as a C++ library API.
 ///
@@ -265,7 +207,7 @@ struct VersionStats {
 /// threads in parallel, under the engine's shared lock against applied
 /// state; a thread holding an open write transaction sees its own
 /// uncommitted writes (its reads join the transaction).  RegisterType,
-/// trigger (un)registration and stats() are thread-safe; Vacuum and
+/// trigger (un)registration and MetricsSnapshot() are thread-safe; Vacuum and
 /// Checkpoint may run from any thread but serialize behind writers.
 ///
 /// Durability: with the default CommitMode::kSync a returned mutator call is
@@ -477,17 +419,16 @@ class Database {
     return UpdateVersion(vid, Slice(EncodeObject(value)));
   }
 
-  /// Coherent snapshot of the session counters.  Thread-safe.
-  VersionStats stats() const;
-
-  /// The registry all this database's instruments live in (the one from
-  /// DatabaseOptions::metrics, or the database-private default).
+  /// The registry all this database's instruments live in: owned by the
+  /// database, and the only source of its session counters (not persisted).
   MetricsRegistry& metrics_registry() const { return *registry_; }
 
-  /// Snapshot of every instrument, with the cache and buffer-pool counters
-  /// (which are maintained per-shard for hot-path cheapness) mirrored into
-  /// the registry first.  Thread-safe.
-  MetricsRegistry::Snapshot MetricsSnapshot() const;
+  /// Snapshot of every instrument, including the counters the read caches
+  /// and the buffer pool keep per shard (summed by their pull hooks).
+  /// Thread-safe.
+  MetricsRegistry::Snapshot MetricsSnapshot() const {
+    return registry_->SnapshotAll();
+  }
 
   /// The structured event journal, which also holds the sampled trace spans
   /// (none until DatabaseOptions::trace_sample_every or set_sample_every
@@ -495,9 +436,10 @@ class Database {
   EventLog& event_log() const { return *event_log_; }
 
   /// Writes a flight-recorder dump — DIAGNOSTICS-<seq>.json in the database
-  /// directory: event journal, metrics, WAL watermarks, cache/latch/pool
-  /// stats, vacuum progress, recovery summary, health verdict.  Returns the
-  /// path written.  Retention per DatabaseOptions::diagnostics_retain.
+  /// directory: event journal, metrics (cache and pool counters included),
+  /// WAL watermarks, latch stats, vacuum progress, recovery summary, health
+  /// verdict.  Returns the path written.  Retention per
+  /// DatabaseOptions::diagnostics_retain.
   /// Thread-safe; also fired automatically (from the engine's background
   /// thread) when the engine poisons itself.  Implementation in
   /// core/diagnostics.cc.
@@ -510,7 +452,7 @@ class Database {
   StorageEngine& storage() { return *engine_; }
   const DatabaseOptions& options() const { return options_; }
 
-  /// Read-path caches (payload_cache.h); exposed for stats/tooling.
+  /// Read-path caches (payload_cache.h); exposed for tooling.
   const VersionPayloadCache& payload_cache() const { return *payload_cache_; }
   const LatestVersionCache& latest_cache() const { return *latest_cache_; }
 
@@ -645,10 +587,9 @@ class Database {
                         VacuumState* st, bool* tree_done, uint64_t* copied);
 
   /// Pre-resolved core-layer instruments (looked up once at Open; recording
-  /// through the pointers is lock-free).  Cache hit/miss counts are NOT
-  /// recorded here on the hot path: stats()/MetricsSnapshot() read them from
-  /// the caches' per-shard counters and mirror them into the mirror
-  /// instruments, keeping the cache-hit fast path free of extra atomics.
+  /// through the pointers is lock-free).  The read caches publish their own
+  /// counters (payload_cache.*, latest_cache.*) through registry pull hooks,
+  /// keeping the cache-hit fast path free of extra atomics.
   struct CoreMetrics {
     Counter* pnew = nullptr;
     Counter* newversion = nullptr;
@@ -664,25 +605,14 @@ class Database {
     Histogram* deref_latest_ns = nullptr;   ///< Sampled generic dereference.
     Histogram* deref_version_ns = nullptr;  ///< Sampled specific dereference.
     Histogram* materialize_ns = nullptr;
-    // Snapshot-time mirrors of the caches' per-shard counters.
-    Counter* payload_cache_hits = nullptr;
-    Counter* payload_cache_misses = nullptr;
-    Counter* latest_cache_hits = nullptr;
-    Counter* latest_cache_misses = nullptr;
     void Attach(MetricsRegistry* registry);
   };
-
-  /// Mirrors cache/buffer-pool counters into the registry (before a
-  /// snapshot).
-  void RefreshMetricMirrors() const;
 
   DatabaseOptions options_;
   // Declared before engine_: ~StorageEngine runs a final checkpoint (and a
   // last-resort abort, which fires the cache-epoch hooks) that records into
   // these, so they must outlive it.
-  /// Fallback registry when DatabaseOptions::metrics is null.
-  std::unique_ptr<MetricsRegistry> owned_registry_;
-  MetricsRegistry* registry_ = nullptr;
+  std::unique_ptr<MetricsRegistry> registry_;
   CoreMetrics metrics_;
   /// Also before engine_: the engine journals into it through its very last
   /// breath (the destructor's final checkpoint and the poison-triggered

@@ -125,7 +125,7 @@ StatusOr<std::string> Database::DumpDiagnostics(std::string_view trigger) {
 
   JsonWriter w;
   w.BeginObject();
-  w.KV("schema", uint64_t{1});
+  w.KV("schema", uint64_t{2});
   w.KV("seq", seq);
   w.KV("trigger", trigger);
   w.KV("ts_micros", ts_micros);
@@ -167,35 +167,6 @@ StatusOr<std::string> Database::DumpDiagnostics(std::string_view trigger) {
   w.KV("write_latch_stripes",
        static_cast<uint64_t>(engine_->write_latches().stripe_count()));
   w.KV("write_latch_acquisitions", engine_->write_latches().acquisitions());
-  w.EndObject();
-
-  const BufferPoolStats pool = engine_->cache_stats();
-  w.Key("buffer_pool");
-  w.BeginObject();
-  w.KV("hits", pool.hits);
-  w.KV("misses", pool.misses);
-  w.KV("evictions", pool.evictions);
-  w.KV("flushes", pool.flushes);
-  w.KV("resident_pages",
-       static_cast<uint64_t>(engine_->buffer_pool().resident_pages()));
-  w.EndObject();
-
-  w.Key("caches");
-  w.BeginObject();
-  for (const auto& [name, stats] :
-       {std::pair<const char*, PayloadCacheStats>{"payload",
-                                                  payload_cache_->stats()},
-        std::pair<const char*, PayloadCacheStats>{"latest",
-                                                  latest_cache_->stats()}}) {
-    w.Key(name);
-    w.BeginObject();
-    w.KV("hits", stats.hits);
-    w.KV("misses", stats.misses);
-    w.KV("evictions", stats.evictions);
-    w.KV("invalidations", stats.invalidations);
-    w.KV("epoch_discards", stats.epoch_discards);
-    w.EndObject();
-  }
   w.EndObject();
 
   {

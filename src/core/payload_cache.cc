@@ -21,119 +21,131 @@ size_t PickShardCount(uint64_t budget, uint64_t min_per_shard,
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// VersionPayloadCache
-// ---------------------------------------------------------------------------
-
-VersionPayloadCache::VersionPayloadCache(uint64_t byte_budget, size_t shards)
-    : byte_budget_(byte_budget) {
-  const size_t n = PickShardCount(byte_budget, 256u << 10, shards);
-  shard_budget_ = byte_budget_ / n;
+template <typename Key, typename Value, typename Charge>
+ShardedLru<Key, Value, Charge>::ShardedLru(uint64_t budget,
+                                           MetricsRegistry* registry,
+                                           std::string_view name,
+                                           size_t shards)
+    : budget_(budget), name_(name) {
+  const size_t n = PickShardCount(budget, Charge::kMinShardBudget, shards);
+  shard_budget_ = budget_ / n;
   shard_mask_ = n - 1;
   shards_.reserve(n);
   for (size_t i = 0; i < n; ++i) shards_.push_back(std::make_unique<Shard>());
+  if (registry != nullptr) {
+    hook_ = registry->AddPullHook(
+        [this](MetricsRegistry::Snapshot* out) { Publish(out); });
+  }
 }
 
-VersionPayloadCache::~VersionPayloadCache() = default;
+template <typename Key, typename Value, typename Charge>
+ShardedLru<Key, Value, Charge>::~ShardedLru() = default;
 
-VersionPayloadCache::Shard& VersionPayloadCache::ShardFor(
-    const VersionId& vid) {
+template <typename Key, typename Value, typename Charge>
+typename ShardedLru<Key, Value, Charge>::Shard&
+ShardedLru<Key, Value, Charge>::ShardFor(const Key& key) {
   // Shard counts are powers of two, so selection is a mask (an integer
   // divide here is measurable on the cache-hit dereference path).
-  return *shards_[std::hash<VersionId>()(vid) & shard_mask_];
+  return *shards_[std::hash<Key>()(key) & shard_mask_];
 }
 
-bool VersionPayloadCache::Lookup(const VersionId& vid, std::string* out) {
+template <typename Key, typename Value, typename Charge>
+bool ShardedLru<Key, Value, Charge>::Lookup(const Key& key, Value* out) {
   if (!enabled()) return false;
-  Shard& shard = ShardFor(vid);
+  Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);
-  auto it = shard.map.find(vid);
+  auto it = shard.map.find(key);
   if (it == shard.map.end()) {
-    ++shard.stats.misses;
+    ++shard.counts.misses;
     return false;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  *out = it->second->payload;
-  ++shard.stats.hits;
+  *out = it->second->value;
+  ++shard.counts.hits;
   return true;
 }
 
-void VersionPayloadCache::Insert(const VersionId& vid,
-                                 const std::string& payload) {
+template <typename Key, typename Value, typename Charge>
+void ShardedLru<Key, Value, Charge>::Insert(const Key& key,
+                                            const Value& value) {
   if (!enabled()) return;
-  const uint64_t charge = payload.size() + kEntryOverhead;
+  const uint64_t charge = Charge::Of(value);
   if (charge > shard_budget_) return;  // Would evict everything else.
-  Shard& shard = ShardFor(vid);
+  Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);
-  auto it = shard.map.find(vid);
+  auto it = shard.map.find(key);
   if (it != shard.map.end()) {
-    shard.bytes_in_use -= Charge(*it->second);
-    it->second->payload = payload;
-    shard.bytes_in_use += Charge(*it->second);
+    Entry& entry = *it->second;
+    shard.in_use -= Charge::Of(entry.value);
+    entry.value = value;
+    shard.in_use += charge;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    if (shard.in_epoch && !it->second->uncommitted) {
-      it->second->uncommitted = true;
-      shard.epoch_keys.push_back(vid);
+    if (shard.in_epoch && !entry.uncommitted) {
+      entry.uncommitted = true;
+      shard.epoch_keys.push_back(key);
     }
   } else {
-    shard.lru.push_front(Entry{vid, payload, shard.in_epoch});
-    shard.map.emplace(vid, shard.lru.begin());
-    shard.bytes_in_use += charge;
-    if (shard.in_epoch) shard.epoch_keys.push_back(vid);
+    shard.lru.push_front(Entry{key, value, shard.in_epoch});
+    shard.map.emplace(key, shard.lru.begin());
+    shard.in_use += charge;
+    if (shard.in_epoch) shard.epoch_keys.push_back(key);
   }
-  EvictToBudget(shard);
+  // Evict from the cold end; the new entry fits alone, so it survives.
+  while (shard.in_use > shard_budget_ && !shard.lru.empty()) {
+    RemoveEntry(shard, std::prev(shard.lru.end()));
+    ++shard.counts.evictions;
+  }
 }
 
-void VersionPayloadCache::RemoveEntry(Shard& shard, EntryList::iterator it) {
-  shard.bytes_in_use -= Charge(*it);
-  shard.map.erase(it->vid);
+template <typename Key, typename Value, typename Charge>
+void ShardedLru<Key, Value, Charge>::RemoveEntry(
+    Shard& shard, typename EntryList::iterator it) {
+  shard.in_use -= Charge::Of(it->value);
+  shard.map.erase(it->key);
   shard.lru.erase(it);
 }
 
-void VersionPayloadCache::Erase(const VersionId& vid) {
-  Shard& shard = ShardFor(vid);
+template <typename Key, typename Value, typename Charge>
+void ShardedLru<Key, Value, Charge>::Erase(const Key& key) {
+  Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);
-  auto it = shard.map.find(vid);
+  auto it = shard.map.find(key);
   if (it == shard.map.end()) return;
   RemoveEntry(shard, it->second);
-  ++shard.stats.invalidations;
+  ++shard.counts.invalidations;
 }
 
-void VersionPayloadCache::EraseObject(const ObjectId& oid) {
-  // An object's versions hash across shards; scan them all.
+template <typename Key, typename Value, typename Charge>
+void ShardedLru<Key, Value, Charge>::EraseIf(
+    const std::function<bool(const Key&)>& pred) {
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     MutexLock lock(shard.mu);
     for (auto it = shard.lru.begin(); it != shard.lru.end();) {
       auto next = std::next(it);
-      if (it->vid.oid == oid) {
+      if (pred(it->key)) {
         RemoveEntry(shard, it);
-        ++shard.stats.invalidations;
+        ++shard.counts.invalidations;
       }
       it = next;
     }
   }
 }
 
-void VersionPayloadCache::Clear() {
+template <typename Key, typename Value, typename Charge>
+void ShardedLru<Key, Value, Charge>::Clear() {
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     MutexLock lock(shard.mu);
     shard.lru.clear();
     shard.map.clear();
     shard.epoch_keys.clear();
-    shard.bytes_in_use = 0;
+    shard.in_use = 0;
   }
 }
 
-void VersionPayloadCache::EvictToBudget(Shard& shard) {
-  while (shard.bytes_in_use > shard_budget_ && !shard.lru.empty()) {
-    RemoveEntry(shard, std::prev(shard.lru.end()));
-    ++shard.stats.evictions;
-  }
-}
-
-void VersionPayloadCache::BeginEpoch() {
+template <typename Key, typename Value, typename Charge>
+void ShardedLru<Key, Value, Charge>::BeginEpoch() {
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     MutexLock lock(shard.mu);
@@ -142,12 +154,13 @@ void VersionPayloadCache::BeginEpoch() {
   }
 }
 
-void VersionPayloadCache::CommitEpoch() {
+template <typename Key, typename Value, typename Charge>
+void ShardedLru<Key, Value, Charge>::CommitEpoch() {
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     MutexLock lock(shard.mu);
-    for (const VersionId& vid : shard.epoch_keys) {
-      auto it = shard.map.find(vid);
+    for (const Key& key : shard.epoch_keys) {
+      auto it = shard.map.find(key);
       if (it != shard.map.end()) it->second->uncommitted = false;
     }
     shard.epoch_keys.clear();
@@ -155,15 +168,16 @@ void VersionPayloadCache::CommitEpoch() {
   }
 }
 
-void VersionPayloadCache::AbortEpoch() {
+template <typename Key, typename Value, typename Charge>
+void ShardedLru<Key, Value, Charge>::AbortEpoch() {
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     MutexLock lock(shard.mu);
-    for (const VersionId& vid : shard.epoch_keys) {
-      auto it = shard.map.find(vid);
+    for (const Key& key : shard.epoch_keys) {
+      auto it = shard.map.find(key);
       if (it != shard.map.end() && it->second->uncommitted) {
         RemoveEntry(shard, it->second);
-        ++shard.stats.epoch_discards;
+        ++shard.counts.epoch_discards;
       }
     }
     shard.epoch_keys.clear();
@@ -171,33 +185,43 @@ void VersionPayloadCache::AbortEpoch() {
   }
 }
 
-PayloadCacheStats VersionPayloadCache::stats() const {
-  // Counters live per shard (bumped under that shard's mutex, so the hot
-  // path pays no atomic RMW); summing under each lock yields a snapshot at
-  // least as fresh as any operation that completed before this call.
-  PayloadCacheStats out;
+template <typename Key, typename Value, typename Charge>
+void ShardedLru<Key, Value, Charge>::Publish(
+    MetricsRegistry::Snapshot* out) const {
+  // Summing under each shard lock yields counts covering every operation
+  // that completed before the snapshot began.
+  Counts sum;
   for (const auto& shard_ptr : shards_) {
     MutexLock lock(shard_ptr->mu);
-    const PayloadCacheStats& s = shard_ptr->stats;
-    out.hits += s.hits;
-    out.misses += s.misses;
-    out.evictions += s.evictions;
-    out.invalidations += s.invalidations;
-    out.epoch_discards += s.epoch_discards;
+    const Counts& c = shard_ptr->counts;
+    sum.hits += c.hits;
+    sum.misses += c.misses;
+    sum.evictions += c.evictions;
+    sum.invalidations += c.invalidations;
+    sum.epoch_discards += c.epoch_discards;
   }
-  return out;
+  for (const auto& [field, value] :
+       {std::pair<const char*, uint64_t>{".hits", sum.hits},
+        {".misses", sum.misses},
+        {".evictions", sum.evictions},
+        {".invalidations", sum.invalidations},
+        {".epoch_discards", sum.epoch_discards}}) {
+    out->counters.emplace_back(name_ + field, value);
+  }
 }
 
-uint64_t VersionPayloadCache::bytes_in_use() const {
+template <typename Key, typename Value, typename Charge>
+uint64_t ShardedLru<Key, Value, Charge>::charge_in_use() const {
   uint64_t total = 0;
   for (const auto& shard_ptr : shards_) {
     MutexLock lock(shard_ptr->mu);
-    total += shard_ptr->bytes_in_use;
+    total += shard_ptr->in_use;
   }
   return total;
 }
 
-size_t VersionPayloadCache::entries() const {
+template <typename Key, typename Value, typename Charge>
+size_t ShardedLru<Key, Value, Charge>::entries() const {
   size_t total = 0;
   for (const auto& shard_ptr : shards_) {
     MutexLock lock(shard_ptr->mu);
@@ -206,150 +230,7 @@ size_t VersionPayloadCache::entries() const {
   return total;
 }
 
-// ---------------------------------------------------------------------------
-// LatestVersionCache
-// ---------------------------------------------------------------------------
-
-LatestVersionCache::LatestVersionCache(size_t max_entries, size_t shards)
-    : max_entries_(max_entries) {
-  const size_t n = PickShardCount(max_entries, 4096, shards);
-  shard_max_entries_ = max_entries_ / n;
-  shard_mask_ = n - 1;
-  shards_.reserve(n);
-  for (size_t i = 0; i < n; ++i) shards_.push_back(std::make_unique<Shard>());
-}
-
-LatestVersionCache::~LatestVersionCache() = default;
-
-LatestVersionCache::Shard& LatestVersionCache::ShardFor(const ObjectId& oid) {
-  // Mask, not modulo: shard counts are powers of two (see PickShardCount).
-  return *shards_[std::hash<ObjectId>()(oid) & shard_mask_];
-}
-
-bool LatestVersionCache::Lookup(const ObjectId& oid, VersionNum* out) {
-  if (!enabled()) return false;
-  Shard& shard = ShardFor(oid);
-  MutexLock lock(shard.mu);
-  auto it = shard.map.find(oid);
-  if (it == shard.map.end()) {
-    ++shard.stats.misses;
-    return false;
-  }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  *out = it->second->latest;
-  ++shard.stats.hits;
-  return true;
-}
-
-void LatestVersionCache::Insert(const ObjectId& oid, VersionNum latest) {
-  if (!enabled()) return;
-  Shard& shard = ShardFor(oid);
-  MutexLock lock(shard.mu);
-  auto it = shard.map.find(oid);
-  if (it != shard.map.end()) {
-    it->second->latest = latest;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    if (shard.in_epoch && !it->second->uncommitted) {
-      it->second->uncommitted = true;
-      shard.epoch_keys.push_back(oid);
-    }
-  } else {
-    shard.lru.push_front(Entry{oid, latest, shard.in_epoch});
-    shard.map.emplace(oid, shard.lru.begin());
-    if (shard.in_epoch) shard.epoch_keys.push_back(oid);
-    while (shard.map.size() > shard_max_entries_ && !shard.lru.empty()) {
-      RemoveEntry(shard, std::prev(shard.lru.end()));
-      ++shard.stats.evictions;
-    }
-  }
-}
-
-void LatestVersionCache::RemoveEntry(Shard& shard, EntryList::iterator it) {
-  shard.map.erase(it->oid);
-  shard.lru.erase(it);
-}
-
-void LatestVersionCache::Erase(const ObjectId& oid) {
-  Shard& shard = ShardFor(oid);
-  MutexLock lock(shard.mu);
-  auto it = shard.map.find(oid);
-  if (it == shard.map.end()) return;
-  RemoveEntry(shard, it->second);
-  ++shard.stats.invalidations;
-}
-
-void LatestVersionCache::Clear() {
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    MutexLock lock(shard.mu);
-    shard.lru.clear();
-    shard.map.clear();
-    shard.epoch_keys.clear();
-  }
-}
-
-void LatestVersionCache::BeginEpoch() {
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    MutexLock lock(shard.mu);
-    shard.in_epoch = true;
-    shard.epoch_keys.clear();
-  }
-}
-
-void LatestVersionCache::CommitEpoch() {
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    MutexLock lock(shard.mu);
-    for (const ObjectId& oid : shard.epoch_keys) {
-      auto it = shard.map.find(oid);
-      if (it != shard.map.end()) it->second->uncommitted = false;
-    }
-    shard.epoch_keys.clear();
-    shard.in_epoch = false;
-  }
-}
-
-void LatestVersionCache::AbortEpoch() {
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    MutexLock lock(shard.mu);
-    for (const ObjectId& oid : shard.epoch_keys) {
-      auto it = shard.map.find(oid);
-      if (it != shard.map.end() && it->second->uncommitted) {
-        RemoveEntry(shard, it->second);
-        ++shard.stats.epoch_discards;
-      }
-    }
-    shard.epoch_keys.clear();
-    shard.in_epoch = false;
-  }
-}
-
-PayloadCacheStats LatestVersionCache::stats() const {
-  // Counters live per shard (bumped under that shard's mutex, so the hot
-  // path pays no atomic RMW); summing under each lock yields a snapshot at
-  // least as fresh as any operation that completed before this call.
-  PayloadCacheStats out;
-  for (const auto& shard_ptr : shards_) {
-    MutexLock lock(shard_ptr->mu);
-    const PayloadCacheStats& s = shard_ptr->stats;
-    out.hits += s.hits;
-    out.misses += s.misses;
-    out.evictions += s.evictions;
-    out.invalidations += s.invalidations;
-    out.epoch_discards += s.epoch_discards;
-  }
-  return out;
-}
-
-size_t LatestVersionCache::entries() const {
-  size_t total = 0;
-  for (const auto& shard_ptr : shards_) {
-    MutexLock lock(shard_ptr->mu);
-    total += shard_ptr->map.size();
-  }
-  return total;
-}
+template class ShardedLru<VersionId, std::string, PayloadCharge>;
+template class ShardedLru<ObjectId, VersionNum, EntryCharge>;
 
 }  // namespace ode

@@ -7,8 +7,8 @@
 #include "util/json.h"
 
 // Harnesses for the diagnostics trust boundary: ODEJ journal exports read
-// back by tooling, and the strict JSON checker (util/json.h) that exported
-// documents are validated with.
+// back by tooling, and the strict JSON checker and reader (util/json.h)
+// that exported documents are validated and read with.
 
 namespace ode {
 namespace fuzz {
@@ -34,12 +34,20 @@ int EventCodec(const uint8_t* data, size_t size) {
   return 0;
 }
 
-/// Strict JSON checker over arbitrary bytes: never crashes, and a rejection
-/// always names its reason.
+/// Strict JSON checker and reader over arbitrary bytes: neither crashes,
+/// they agree on every accept and reject, and a rejection always names its
+/// reason.
 int JsonTarget(const uint8_t* data, size_t size) {
   const std::string_view input(reinterpret_cast<const char*>(data), size);
   std::string error;
-  if (!IsWellFormedJson(input, &error)) ODE_FUZZ_REQUIRE(!error.empty());
+  const bool well_formed = IsWellFormedJson(input, &error);
+  const StatusOr<JsonLeaves> read = ReadJson(input);
+  ODE_FUZZ_REQUIRE(read.ok() == well_formed);
+  if (!well_formed) {
+    ODE_FUZZ_REQUIRE(!error.empty());
+    ODE_FUZZ_REQUIRE(read.status().message().find(error) !=
+                     std::string::npos);
+  }
   return 0;
 }
 
@@ -47,7 +55,7 @@ int JsonTarget(const uint8_t* data, size_t size) {
 
 void RegisterUtilTargets() {
   RegisterFuzzTarget("event_codec", "ODEJ binary journal codec", EventCodec);
-  RegisterFuzzTarget("json", "JSON well-formedness checker", JsonTarget);
+  RegisterFuzzTarget("json", "JSON checker and reader", JsonTarget);
 }
 
 }  // namespace fuzz

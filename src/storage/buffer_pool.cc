@@ -47,7 +47,8 @@ size_t PickShardCount(size_t capacity_pages, size_t requested) {
 
 }  // namespace
 
-BufferPool::BufferPool(DiskManager* disk, size_t capacity_pages, size_t shards)
+BufferPool::BufferPool(DiskManager* disk, size_t capacity_pages, size_t shards,
+                       MetricsRegistry* registry)
     : disk_(disk), capacity_(capacity_pages) {
   assert(capacity_ >= 1);
   const size_t n = PickShardCount(capacity_pages, shards);
@@ -59,6 +60,10 @@ BufferPool::BufferPool(DiskManager* disk, size_t capacity_pages, size_t shards)
     shard->capacity = (capacity_pages + n - 1) / n;
     if (shard->capacity == 0) shard->capacity = 1;
     shards_.push_back(std::move(shard));
+  }
+  if (registry != nullptr) {
+    hook_ = registry->AddPullHook(
+        [this](MetricsRegistry::Snapshot* out) { Publish(out); });
   }
 }
 
@@ -75,13 +80,13 @@ StatusOr<PageHandle> BufferPool::Fetch(PageId id) {
   MutexLock lock(shard.mu);
   auto it = shard.frames.find(id);
   if (it != shard.frames.end()) {
-    ++shard.stats.hits;
+    ++shard.counts.hits;
     Frame& frame = it->second;
     frame.pin_count.fetch_add(1, std::memory_order_relaxed);
     TouchLru(shard, &frame);
     return PageHandle(this, &frame, id);
   }
-  ++shard.stats.misses;
+  ++shard.counts.misses;
   ODE_RETURN_IF_ERROR(EvictOneIfNeeded(shard));
   // The disk read happens under the shard lock: concurrent fetches of the
   // same page must not race, and fetches in other shards proceed unblocked.
@@ -174,7 +179,7 @@ Status BufferPool::FlushAll() {
         }
         if (metrics_ != nullptr) metrics_->page_writes->Increment();
         frame.dirty = false;
-        ++shard.stats.flushes;
+        ++shard.counts.flushes;
       }
     }
   }
@@ -196,20 +201,25 @@ void BufferPool::DropAllUnpinned() {
   }
 }
 
-BufferPoolStats BufferPool::stats() const {
-  // Counters live per shard (bumped under that shard's mutex, so Fetch pays
-  // no atomic RMW for accounting); summing under each lock yields a snapshot
-  // covering every operation that completed before this call.
-  BufferPoolStats out;
+void BufferPool::Publish(MetricsRegistry::Snapshot* out) const {
+  // Summing under each shard lock yields counts covering every operation
+  // that completed before the snapshot began.
+  Counts sum;
+  int64_t resident = 0;
   for (const auto& shard_ptr : shards_) {
     MutexLock lock(shard_ptr->mu);
-    const BufferPoolStats& s = shard_ptr->stats;
-    out.hits += s.hits;
-    out.misses += s.misses;
-    out.evictions += s.evictions;
-    out.flushes += s.flushes;
+    const Counts& c = shard_ptr->counts;
+    sum.hits += c.hits;
+    sum.misses += c.misses;
+    sum.evictions += c.evictions;
+    sum.flushes += c.flushes;
+    resident += static_cast<int64_t>(shard_ptr->frames.size());
   }
-  return out;
+  out->counters.emplace_back("bufferpool.hits", sum.hits);
+  out->counters.emplace_back("bufferpool.misses", sum.misses);
+  out->counters.emplace_back("bufferpool.evictions", sum.evictions);
+  out->counters.emplace_back("bufferpool.flushes", sum.flushes);
+  out->gauges.emplace_back("bufferpool.resident_pages", resident);
 }
 
 size_t BufferPool::resident_pages() const {
@@ -241,7 +251,7 @@ Status BufferPool::EvictOneIfNeeded(Shard& shard) {
           !frame.dirty) {
         shard.lru.erase(std::next(rit).base());
         shard.frames.erase(it);
-        ++shard.stats.evictions;
+        ++shard.counts.evictions;
         evicted = true;
         break;
       }

@@ -11,6 +11,7 @@
 
 #include "storage/disk_manager.h"
 #include "storage/page.h"
+#include "util/metrics.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/statusor.h"
@@ -94,15 +95,6 @@ struct PageHandle::Frame {
   bool in_lru = false;
 };
 
-/// Cache statistics (cumulative since construction).  Returned by value as a
-/// coherent snapshot of the pool's per-shard counters.
-struct BufferPoolStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t evictions = 0;
-  uint64_t flushes = 0;
-};
-
 /// Sharded LRU page cache over a DiskManager.
 ///
 /// Policy choices, driven by the WAL design (redo logging of page
@@ -116,7 +108,7 @@ struct BufferPoolStats {
 ///    abort.
 ///
 /// Concurrency contract (single-writer / multi-reader):
-///  - Fetch(), data(), Release() and stats() may be called from any number
+///  - Fetch(), data() and Release() may be called from any number
 ///    of reader threads concurrently.  The frame table and LRU are
 ///    partitioned into shards, each guarded by its own mutex (annotated
 ///    below, so `clang -Wthread-safety` proves every access), so concurrent
@@ -140,7 +132,13 @@ class BufferPool {
   /// single shard and behave exactly like the classic single-structure LRU
   /// (same eviction order and counts), which exact-count tests rely on.
   /// Explicit counts are rounded down to a power of two.
-  BufferPool(DiskManager* disk, size_t capacity_pages, size_t shards = 0);
+  ///
+  /// With a `registry`, every snapshot of it carries the pool's counters,
+  /// bufferpool.{hits,misses,evictions,flushes}, summed from the per-shard
+  /// counters (kept under the shard mutex, so Fetch pays no atomic add for
+  /// them), and the bufferpool.resident_pages gauge.
+  BufferPool(DiskManager* disk, size_t capacity_pages, size_t shards = 0,
+             MetricsRegistry* registry = nullptr);
   ~BufferPool();
 
   BufferPool(const BufferPool&) = delete;
@@ -177,13 +175,9 @@ class BufferPool {
   void set_pre_dirty_hook(PreDirtyHook hook) { pre_dirty_hook_ = std::move(hook); }
 
   /// Attaches the owning engine's instrument bundle: disk reads on misses
-  /// and checkpoint writes get counted and timed.  The hit/miss/eviction
-  /// counters stay per-shard (see stats()) and are mirrored into the
-  /// registry only at snapshot time, keeping Fetch free of extra atomics.
+  /// and checkpoint writes get counted and timed.
   void set_metrics(StorageMetrics* metrics) { metrics_ = metrics; }
 
-  /// Coherent snapshot of the cumulative counters.  Thread-safe.
-  BufferPoolStats stats() const;
   /// Total resident frames across all shards.  Thread-safe.
   size_t resident_pages() const;
   size_t capacity() const { return capacity_; }
@@ -194,6 +188,14 @@ class BufferPool {
   friend class PageHandle;
   using Frame = PageHandle::Frame;
 
+  /// Cumulative per-shard counters, summed by the registry pull hook.
+  struct Counts {
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t evictions = 0;
+    uint64_t flushes = 0;
+  };
+
   /// One latch-partition of the pool: a slice of the frame table plus its
   /// own LRU list, guarded by a single mutex.
   struct Shard {
@@ -201,13 +203,16 @@ class BufferPool {
     std::unordered_map<PageId, Frame> frames ODE_GUARDED_BY(mu);
     std::list<PageId> lru ODE_GUARDED_BY(mu);  // Front = most recently used.
     size_t capacity = 0;  // Nominal frame budget; immutable after init.
-    BufferPoolStats stats ODE_GUARDED_BY(mu);
+    Counts counts ODE_GUARDED_BY(mu);
   };
 
   Shard& ShardFor(PageId id);
   char* FrameMutableData(Frame* frame);
   Status EvictOneIfNeeded(Shard& shard) ODE_REQUIRES(shard.mu);
   void TouchLru(Shard& shard, Frame* frame) ODE_REQUIRES(shard.mu);
+  /// Appends the summed counters and the resident-page gauge to a registry
+  /// snapshot.
+  void Publish(MetricsRegistry::Snapshot* out) const;
 
   DiskManager* disk_;
   size_t capacity_;
@@ -219,6 +224,8 @@ class BufferPool {
   bool in_epoch_ = false;
   PreDirtyHook pre_dirty_hook_;
   StorageMetrics* metrics_ = nullptr;
+  // Last: unregistering waits out a running snapshot before the shards die.
+  MetricsRegistry::PullHookHandle hook_;
 };
 
 }  // namespace ode

@@ -259,9 +259,8 @@ StatusOr<std::unique_ptr<StorageEngine>> StorageEngine::Open(
         cause.ToString()));
   });
 
-  engine->pool_ = std::make_unique<BufferPool>(engine->disk_.get(),
-                                               options.buffer_pool_pages,
-                                               options.buffer_pool_shards);
+  engine->pool_ = std::make_unique<BufferPool>(
+      engine->disk_.get(), options.buffer_pool_pages, /*shards=*/0, registry);
   engine->pool_->set_metrics(&engine->metrics_);
   engine->pool_->set_pre_dirty_hook(
       [raw](PageId id, const char* data, bool was_dirty) {

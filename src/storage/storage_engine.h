@@ -69,8 +69,6 @@ struct StorageOptions {
   /// Buffer pool capacity in pages (nominal; grows if all frames are
   /// pinned/dirty).
   size_t buffer_pool_pages = 1024;
-  /// Buffer pool latch shards; 0 = auto (collapses to 1 for small pools).
-  size_t buffer_pool_shards = 0;
   /// Background checkpoint once the WAL exceeds this many bytes.
   uint64_t checkpoint_wal_bytes = 8ull << 20;
   /// Stripes in the write-latch set exposed via write_latches() (must be a
@@ -293,8 +291,6 @@ class StorageEngine {
 
   CommitMode commit_mode() const { return options_.commit_mode; }
 
-  /// Snapshot of the buffer pool counters.  Thread-safe.
-  BufferPoolStats cache_stats() const { return pool_->stats(); }
   const RecoveryStats& last_recovery() const { return recovery_; }
   uint64_t wal_bytes() const;
   /// Total WAL bytes ever appended this session (not reset by checkpoints).

@@ -56,14 +56,6 @@ struct StorageMetrics {
   Counter* checkpoints = nullptr;
   Histogram* checkpoint_ns = nullptr;
 
-  // Buffer-pool mirrors, refreshed at snapshot time from the pool's
-  // per-shard counters (nothing extra on the Fetch hot path).
-  Counter* pool_hits = nullptr;
-  Counter* pool_misses = nullptr;
-  Counter* pool_evictions = nullptr;
-  Counter* pool_flushes = nullptr;
-  Gauge* pool_resident_pages = nullptr;
-
   // Background-task health heartbeats (steady-clock microseconds, written
   // by the task itself via Gauge::Set — lock-free) and the lag gauges
   // HealthCheck() derives from them.  A heartbeat of 0 means the task has
@@ -111,11 +103,6 @@ struct StorageMetrics {
     btree_descend_ns = registry->GetHistogram("btree.descend_ns");
     checkpoints = registry->GetCounter("storage.checkpoints");
     checkpoint_ns = registry->GetHistogram("storage.checkpoint_ns");
-    pool_hits = registry->GetCounter("bufferpool.hits");
-    pool_misses = registry->GetCounter("bufferpool.misses");
-    pool_evictions = registry->GetCounter("bufferpool.evictions");
-    pool_flushes = registry->GetCounter("bufferpool.flushes");
-    pool_resident_pages = registry->GetGauge("bufferpool.resident_pages");
     hb_checkpointer_us = registry->GetGauge("health.checkpointer_heartbeat_us");
     hb_gc_leader_us = registry->GetGauge("health.gc_leader_heartbeat_us");
     hb_vacuum_us = registry->GetGauge("health.vacuum_heartbeat_us");

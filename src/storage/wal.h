@@ -113,8 +113,8 @@ class Wal {
 
   std::unique_ptr<File> file_;
   // Written only by the engine's writer thread, but read by any thread via
-  // the monitoring accessors above (Database::stats() runs concurrently
-  // with a committing writer), so both must be atomic.
+  // the monitoring accessors above (health checks and diagnostics dumps run
+  // concurrently with a committing writer), so both must be atomic.
   std::atomic<uint64_t> bytes_appended_{0};
   std::atomic<uint64_t> sync_count_{0};
   StorageMetrics* metrics_ = nullptr;

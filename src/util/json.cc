@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace ode {
 
@@ -49,13 +50,16 @@ std::string JsonEscape(std::string_view s) {
 
 namespace {
 
-// Recursive-descent checker: accepts exactly one JSON value surrounded by
-// optional whitespace, and reports the first problem found.
-class Checker {
+// Recursive-descent parser: accepts exactly one JSON value surrounded by
+// optional whitespace, and reports the first problem found.  With `out` it
+// also records every number and string leaf under its path; without, it
+// only checks.  Both modes run the same grammar, so they agree on every
+// accept and reject.
+class Parser {
  public:
-  explicit Checker(std::string_view s) : s_(s) {}
+  Parser(std::string_view s, JsonLeaves* out) : s_(s), out_(out) {}
 
-  bool Check(std::string* error) {
+  bool Parse(std::string* error) {
     SkipWs();
     if (!Value()) {
       if (error != nullptr) {
@@ -101,7 +105,8 @@ class Checker {
     return true;
   }
 
-  bool String() {
+  /// Parses a string literal, decoding it into `*decoded` when non-null.
+  bool String(std::string* decoded) {
     if (i_ >= s_.size() || s_[i_] != '"') return Fail("expected string");
     ++i_;
     while (i_ < s_.size() && s_[i_] != '"') {
@@ -110,21 +115,32 @@ class Checker {
         if (i_ >= s_.size()) return Fail("truncated escape");
         const char e = s_[i_];
         if (e == 'u') {
+          uint32_t unit = 0;
           for (int k = 0; k < 4; ++k) {
             ++i_;
             if (i_ >= s_.size() ||
                 !std::isxdigit(static_cast<unsigned char>(s_[i_]))) {
               return Fail("bad \\u escape");
             }
+            const char h = static_cast<char>(
+                std::tolower(static_cast<unsigned char>(s_[i_])));
+            unit = unit * 16 + static_cast<uint32_t>(
+                                   h <= '9' ? h - '0' : h - 'a' + 10);
           }
+          if (decoded != nullptr) AppendUtf16Unit(decoded, unit);
         } else if (e != '"' && e != '\\' && e != '/' && e != 'b' &&
                    e != 'f' && e != 'n' && e != 'r' && e != 't') {
           return Fail("bad escape");
+        } else if (decoded != nullptr) {
+          constexpr std::string_view kFrom = "\"\\/bfnrt";
+          constexpr std::string_view kTo = "\"\\/\b\f\n\r\t";
+          decoded->push_back(kTo[kFrom.find(e)]);
         }
         ++i_;
       } else if (static_cast<unsigned char>(s_[i_]) < 0x20) {
         return Fail("raw control char in string");
       } else {
+        if (decoded != nullptr) decoded->push_back(s_[i_]);
         ++i_;
       }
     }
@@ -133,7 +149,33 @@ class Checker {
     return true;
   }
 
+  /// Appends one \u escape's code unit as UTF-8.  Surrogate pairs are not
+  /// joined (each half is encoded alone); the writer above never emits
+  /// them, it escapes only control characters.
+  static void AppendUtf16Unit(std::string* out, uint32_t unit) {
+    if (unit < 0x80) {
+      out->push_back(static_cast<char>(unit));
+    } else if (unit < 0x800) {
+      out->push_back(static_cast<char>(0xC0 | (unit >> 6)));
+      out->push_back(static_cast<char>(0x80 | (unit & 0x3F)));
+    } else {
+      out->push_back(static_cast<char>(0xE0 | (unit >> 12)));
+      out->push_back(static_cast<char>(0x80 | ((unit >> 6) & 0x3F)));
+      out->push_back(static_cast<char>(0x80 | (unit & 0x3F)));
+    }
+  }
+
   bool Number() {
+    const size_t start = i_;
+    if (!NumberToken()) return false;
+    if (out_ != nullptr) {
+      const std::string token(s_.substr(start, i_ - start));
+      out_->numbers[path_] = std::strtod(token.c_str(), nullptr);
+    }
+    return true;
+  }
+
+  bool NumberToken() {
     if (i_ < s_.size() && s_[i_] == '-') ++i_;
     if (!Digit()) return Fail("expected digit");
     if (s_[i_] == '0') {
@@ -163,7 +205,12 @@ class Checker {
     switch (s_[i_]) {
       case '{': ok = Object(); break;
       case '[': ok = Array(); break;
-      case '"': ok = String(); break;
+      case '"': {
+        std::string value;
+        ok = String(out_ != nullptr ? &value : nullptr);
+        if (ok && out_ != nullptr) out_->strings[path_] = std::move(value);
+        break;
+      }
       case 't': ok = Literal("true"); break;
       case 'f': ok = Literal("false"); break;
       case 'n': ok = Literal("null"); break;
@@ -179,11 +226,12 @@ class Checker {
     if (i_ < s_.size() && s_[i_] == '}') { ++i_; return true; }
     for (;;) {
       SkipWs();
-      if (!String()) return false;
+      std::string key;
+      if (!String(out_ != nullptr ? &key : nullptr)) return false;
       SkipWs();
       if (i_ >= s_.size() || s_[i_] != ':') return Fail("expected ':'");
       ++i_;
-      if (!Value()) return false;
+      if (!Child(key)) return false;
       SkipWs();
       if (i_ < s_.size() && s_[i_] == ',') { ++i_; continue; }
       if (i_ < s_.size() && s_[i_] == '}') { ++i_; return true; }
@@ -195,8 +243,9 @@ class Checker {
     ++i_;  // '['
     SkipWs();
     if (i_ < s_.size() && s_[i_] == ']') { ++i_; return true; }
-    for (;;) {
-      if (!Value()) return false;
+    for (size_t index = 0;; ++index) {
+      if (!Child(out_ != nullptr ? std::to_string(index) : std::string()))
+        return false;
       SkipWs();
       if (i_ < s_.size() && s_[i_] == ',') { ++i_; continue; }
       if (i_ < s_.size() && s_[i_] == ']') { ++i_; return true; }
@@ -204,16 +253,39 @@ class Checker {
     }
   }
 
+  /// Parses a member or element value with `segment` appended to the path.
+  bool Child(const std::string& segment) {
+    const size_t mark = path_.size();
+    if (out_ != nullptr) {
+      if (mark > 0) path_.push_back('.');
+      path_.append(segment);
+    }
+    const bool ok = Value();
+    path_.resize(mark);
+    return ok;
+  }
+
   std::string_view s_;
   size_t i_ = 0;
   int depth_ = 0;
   std::string error_;
+  JsonLeaves* out_;
+  std::string path_;  // Dotted path of the value being parsed.
 };
 
 }  // namespace
 
 bool IsWellFormedJson(std::string_view s, std::string* error) {
-  return Checker(s).Check(error);
+  return Parser(s, nullptr).Parse(error);
+}
+
+StatusOr<JsonLeaves> ReadJson(std::string_view s) {
+  JsonLeaves leaves;
+  std::string error;
+  if (!Parser(s, &leaves).Parse(&error)) {
+    return Status::InvalidArgument("malformed JSON: " + error);
+  }
+  return leaves;
 }
 
 void JsonWriter::Comma() {

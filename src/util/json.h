@@ -2,22 +2,25 @@
 #define ODE_UTIL_JSON_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "util/statusor.h"
+
 namespace ode {
 
 // ---------------------------------------------------------------------------
-// Minimal JSON emission and strict checking
+// Minimal JSON emission, strict checking and reading
 // ---------------------------------------------------------------------------
 //
 // The diagnostics pipeline (event-log drain, MetricsRegistry::RenderJson,
 // StorageEngine::DumpDiagnostics) emits machine-readable JSON from several
 // layers.  Hand-rolled string concatenation scattered across those sites is
 // how malformed dumps happen, so the escaping and nesting bookkeeping live
-// here once, beside the one strict checker that tests and the fuzz registry
-// validate exported documents with.
+// here once, beside the one strict parser that checks exported documents
+// (IsWellFormedJson) and reads them back (ReadJson) for ode_top and tests.
 
 /// Appends the JSON string-literal encoding of `s` (including the
 /// surrounding quotes) to `out`.  Control characters are \u-escaped; the
@@ -31,6 +34,21 @@ std::string JsonEscape(std::string_view s);
 /// capped at 64 levels).  On failure, `error` (if non-null) names the
 /// problem and its byte offset.
 bool IsWellFormedJson(std::string_view s, std::string* error = nullptr);
+
+/// Flat view of one JSON document: each number and string leaf keyed by the
+/// path of object keys and array indices leading to it, joined by '.'
+/// ({"a":{"b":[7,"x"]}} gives numbers["a.b.0"] = 7, strings["a.b.1"] =
+/// "x").  Strings are unescaped (\u escapes to UTF-8, surrogate halves
+/// separately); a repeated key keeps its last value.
+/// Booleans and nulls are not recorded.
+struct JsonLeaves {
+  std::map<std::string, double> numbers;
+  std::map<std::string, std::string> strings;
+};
+
+/// Reads one document with exactly IsWellFormedJson's grammar; malformed
+/// input is InvalidArgument naming the problem and its byte offset.
+StatusOr<JsonLeaves> ReadJson(std::string_view s);
 
 /// Emits one JSON document into an owned buffer.  The caller drives the
 /// nesting explicitly (BeginObject/EndObject, BeginArray/EndArray) and the

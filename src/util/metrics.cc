@@ -4,6 +4,7 @@
 #include <bit>
 #include <cctype>
 #include <cstdio>
+#include <utility>
 
 #include "util/json.h"
 
@@ -104,9 +105,71 @@ HistogramSnapshot Histogram::Snapshot() const {
 // MetricsRegistry
 // ---------------------------------------------------------------------------
 
-MetricsRegistry& MetricsRegistry::Default() {
-  static MetricsRegistry* instance = new MetricsRegistry();
-  return *instance;
+namespace {
+
+/// Binary search of a name-sorted snapshot vector; V{} when absent.
+template <typename V>
+V FindByName(const std::vector<std::pair<std::string, V>>& v,
+             std::string_view name) {
+  auto it = std::lower_bound(
+      v.begin(), v.end(), name,
+      [](const auto& entry, std::string_view n) { return entry.first < n; });
+  return it != v.end() && it->first == name ? it->second : V{};
+}
+
+/// Sorts by name and sums entries that share one (hook output lands after
+/// the registered instruments, possibly under the same names).
+template <typename V>
+void SortAndMerge(std::vector<std::pair<std::string, V>>* v) {
+  std::stable_sort(v->begin(), v->end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+  size_t kept = 0;
+  for (size_t i = 0; i < v->size(); ++i) {
+    if (kept > 0 && (*v)[kept - 1].first == (*v)[i].first) {
+      (*v)[kept - 1].second += (*v)[i].second;
+    } else {
+      if (kept != i) (*v)[kept] = std::move((*v)[i]);
+      ++kept;
+    }
+  }
+  v->resize(kept);
+}
+
+}  // namespace
+
+uint64_t MetricsRegistry::Snapshot::counter(std::string_view name) const {
+  return FindByName(counters, name);
+}
+
+int64_t MetricsRegistry::Snapshot::gauge(std::string_view name) const {
+  return FindByName(gauges, name);
+}
+
+MetricsRegistry::PullHookHandle MetricsRegistry::AddPullHook(PullHook hook) {
+  MutexLock lock(mu_);
+  PullHookHandle handle;
+  handle.registry_ = this;
+  handle.id_ = next_hook_id_++;
+  hooks_.emplace(handle.id_, std::move(hook));
+  return handle;
+}
+
+MetricsRegistry::PullHookHandle& MetricsRegistry::PullHookHandle::operator=(
+    PullHookHandle&& other) noexcept {
+  if (this != &other) {
+    Reset();
+    registry_ = std::exchange(other.registry_, nullptr);
+    id_ = std::exchange(other.id_, 0);
+  }
+  return *this;
+}
+
+void MetricsRegistry::PullHookHandle::Reset() {
+  if (registry_ == nullptr) return;
+  MutexLock lock(registry_->mu_);
+  registry_->hooks_.erase(id_);
+  registry_ = nullptr;
 }
 
 Counter* MetricsRegistry::GetCounter(std::string_view name) {
@@ -152,6 +215,11 @@ MetricsRegistry::Snapshot MetricsRegistry::SnapshotAll() const {
   snap.histograms.reserve(histograms_.size());
   for (const auto& [name, h] : histograms_) {
     snap.histograms.emplace_back(name, h->Snapshot());
+  }
+  if (!hooks_.empty()) {
+    for (const auto& [id, hook] : hooks_) hook(&snap);
+    SortAndMerge(&snap.counters);
+    SortAndMerge(&snap.gauges);
   }
   return snap;
 }

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -35,20 +36,18 @@ class JsonWriter;
 // which stays valid for the registry's lifetime.  Recording through a held
 // pointer never locks.
 //
-// `MetricsRegistry::Default()` is the process-wide registry.  A Database
-// normally owns a private registry instead (DatabaseOptions::metrics),
-// because several databases commonly coexist in one process (every test
-// fixture) and their counters must not bleed into each other;
-// Database::stats() is a compatibility view over that per-database registry.
+// Components that keep counters of their own (the read caches and the
+// buffer pool count per shard, under the shard mutex, so their hit paths
+// pay no atomic add) publish them through a pull hook instead: SnapshotAll
+// runs every hook, so each snapshot is fresh however it is taken.  The
+// registry is the only stats source; each Database owns one, so the
+// counters of databases coexisting in one process never mix.
 
 /// Monotonic counter.  All methods are thread-safe and lock-free.
 class Counter {
  public:
   void Add(uint64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
   void Increment() { Add(1); }
-  /// Overwrites the value.  Only for snapshot-time mirroring of counters
-  /// that are maintained elsewhere (e.g. per-shard cache counters).
-  void Set(uint64_t v) { value_.store(v, std::memory_order_relaxed); }
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
@@ -172,9 +171,6 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// The process-wide registry, for code not attached to any database.
-  static MetricsRegistry& Default();
-
   Counter* GetCounter(std::string_view name);
   Gauge* GetGauge(std::string_view name);
   Histogram* GetHistogram(std::string_view name);
@@ -184,8 +180,41 @@ class MetricsRegistry {
     std::vector<std::pair<std::string, uint64_t>> counters;
     std::vector<std::pair<std::string, int64_t>> gauges;
     std::vector<std::pair<std::string, HistogramSnapshot>> histograms;
+
+    /// Value of the counter / gauge `name`, or 0 if the snapshot has none.
+    uint64_t counter(std::string_view name) const;
+    int64_t gauge(std::string_view name) const;
   };
   Snapshot SnapshotAll() const;
+
+  /// Appends (name, value) counters and gauges a component keeps itself to
+  /// a snapshot being taken.  Runs under the registry mutex, so it must not
+  /// call back into the registry.
+  using PullHook = std::function<void(Snapshot* out)>;
+
+  /// Registration of one pull hook; removing it (destruction or
+  /// reassignment) waits out any snapshot running the hook, so the owner
+  /// may die right after.  Declare it after whatever the hook reads.
+  class PullHookHandle {
+   public:
+    PullHookHandle() = default;
+    PullHookHandle(PullHookHandle&& other) noexcept {
+      *this = std::move(other);
+    }
+    PullHookHandle& operator=(PullHookHandle&& other) noexcept;
+    ~PullHookHandle() { Reset(); }
+    void Reset();
+
+   private:
+    friend class MetricsRegistry;
+    MetricsRegistry* registry_ = nullptr;
+    uint64_t id_ = 0;
+  };
+
+  /// Registers `hook`, run by every SnapshotAll until the handle dies.
+  /// Values a hook emits under a name that is also a registered instrument
+  /// (or that another hook emits) are summed.
+  [[nodiscard]] PullHookHandle AddPullHook(PullHook hook);
 
   // --- Export renderers (the diagnostics / scrape surface) ---
 
@@ -219,6 +248,8 @@ class MetricsRegistry {
       ODE_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_
       ODE_GUARDED_BY(mu_);
+  std::map<uint64_t, PullHook> hooks_ ODE_GUARDED_BY(mu_);
+  uint64_t next_hook_id_ ODE_GUARDED_BY(mu_) = 1;
 };
 
 }  // namespace ode

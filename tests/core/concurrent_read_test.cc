@@ -251,17 +251,18 @@ TEST_F(ConcurrentReadTest, StatsSnapshotIsCoherentUnderConcurrency) {
       for (int i = 0; i < kReadsPerThread; ++i) {
         auto bytes = db_->ReadLatest(oid);
         EXPECT_TRUE(bytes.ok()) << bytes.status();
-        // Interleave stats() snapshots with reads to exercise the atomic
-        // counters from many threads at once.
-        (void)db_->stats();
+        // Interleave registry snapshots (which run the caches' and the
+        // pool's pull hooks) with reads from many threads at once.
+        (void)db_->MetricsSnapshot();
       }
     });
   }
   for (auto& th : readers) th.join();
 
-  const VersionStats stats = db_->stats();
+  const MetricsRegistry::Snapshot stats = db_->MetricsSnapshot();
   // Every ReadLatest probes the latest-version cache exactly once.
-  EXPECT_EQ(stats.latest_cache_hits + stats.latest_cache_misses,
+  EXPECT_EQ(stats.counter("latest_cache.hits") +
+                stats.counter("latest_cache.misses"),
             static_cast<uint64_t>(kReaders) * kReadsPerThread);
 }
 
@@ -323,8 +324,8 @@ TEST_F(ConcurrentReadTest, ConcurrentDisjointWritersScaleWithoutRaces) {
   // ones) while writers are mid-batch.
   threads.emplace_back([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      const VersionStats s = db_->stats();
-      if (s.group_commit_fsyncs > s.group_commit_commits) {
+      const MetricsRegistry::Snapshot s = db_->MetricsSnapshot();
+      if (s.counter("groupcommit.fsyncs") > s.counter("groupcommit.commits")) {
         violations.fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -344,9 +345,9 @@ TEST_F(ConcurrentReadTest, ConcurrentDisjointWritersScaleWithoutRaces) {
       EXPECT_EQ(*bytes, Payload(obj, kRoundsPerWriter));
     }
   }
-  const VersionStats stats = db_->stats();
-  EXPECT_GE(stats.update_count, static_cast<uint64_t>(kWriters) *
-                                    kObjectsPerWriter * kRoundsPerWriter);
+  EXPECT_GE(db_->MetricsSnapshot().counter("core.update"),
+            static_cast<uint64_t>(kWriters) * kObjectsPerWriter *
+                kRoundsPerWriter);
 }
 
 }  // namespace

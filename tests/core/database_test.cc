@@ -1,5 +1,6 @@
 #include "core/database.h"
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -223,25 +224,25 @@ TEST_F(DatabaseTest, LargePayloadSupported) {
 TEST_F(DatabaseTest, GroupedTransactionCommit) {
   // Database::Open commits bootstrap transactions of its own, so the
   // storage-level counters are asserted as deltas.
-  const VersionStats before = db_->stats();
+  const MetricsRegistry::Snapshot before = db_->MetricsSnapshot();
   ASSERT_OK(db_->Begin());
   VersionId a = MustPnew("a");
   VersionId b = MustPnew("b");
   ASSERT_OK(db_->Commit());
   EXPECT_EQ(MustRead(a), "a");
   EXPECT_EQ(MustRead(b), "b");
-  const VersionStats after = db_->stats();
+  const MetricsRegistry::Snapshot after = db_->MetricsSnapshot();
   // One explicit commit, no aborts; the group's mutations hit the WAL and
   // its commit forced (at least) one fsync.
-  EXPECT_EQ(after.txn_commits, before.txn_commits + 1);
-  EXPECT_EQ(after.txn_aborts, before.txn_aborts);
-  EXPECT_GT(after.wal_appends, before.wal_appends);
-  EXPECT_GE(after.wal_fsyncs, before.wal_fsyncs + 1);
+  EXPECT_EQ(after.counter("txn.commits"), before.counter("txn.commits") + 1);
+  EXPECT_EQ(after.counter("txn.aborts"), before.counter("txn.aborts"));
+  EXPECT_GT(after.counter("wal.appends"), before.counter("wal.appends"));
+  EXPECT_GE(after.counter("wal.fsyncs"), before.counter("wal.fsyncs") + 1);
 }
 
 TEST_F(DatabaseTest, GroupedTransactionAbortRollsBackAll) {
   VersionId keep = MustPnew("keep");
-  const VersionStats before = db_->stats();
+  const MetricsRegistry::Snapshot before = db_->MetricsSnapshot();
   ASSERT_OK(db_->Begin());
   VersionId a = MustPnew("a");
   ASSERT_OK(db_->UpdateLatest(keep.oid, Slice("modified")));
@@ -250,9 +251,9 @@ TEST_F(DatabaseTest, GroupedTransactionAbortRollsBackAll) {
   ASSERT_TRUE(exists.ok());
   EXPECT_FALSE(*exists);
   EXPECT_EQ(MustReadLatest(keep.oid), "keep");
-  const VersionStats after = db_->stats();
-  EXPECT_EQ(after.txn_aborts, before.txn_aborts + 1);
-  EXPECT_EQ(after.txn_commits, before.txn_commits);
+  const MetricsRegistry::Snapshot after = db_->MetricsSnapshot();
+  EXPECT_EQ(after.counter("txn.aborts"), before.counter("txn.aborts") + 1);
+  EXPECT_EQ(after.counter("txn.commits"), before.counter("txn.commits"));
 }
 
 TEST_F(DatabaseTest, StatsTrackOperations) {
@@ -262,37 +263,38 @@ TEST_F(DatabaseTest, StatsTrackOperations) {
   ASSERT_OK(db_->UpdateLatest(v0.oid, Slice("y")));
   ASSERT_OK(db_->PdeleteVersion(v0));
   ASSERT_OK(db_->PdeleteObject(v0.oid));
-  const VersionStats& stats = db_->stats();
-  EXPECT_EQ(stats.pnew_count, 1u);
-  EXPECT_EQ(stats.newversion_count, 1u);
-  EXPECT_EQ(stats.update_count, 1u);
-  EXPECT_GE(stats.delete_version_count, 2u);
-  EXPECT_EQ(stats.delete_object_count, 1u);
+  const MetricsRegistry::Snapshot stats = db_->MetricsSnapshot();
+  EXPECT_EQ(stats.counter("core.pnew"), 1u);
+  EXPECT_EQ(stats.counter("core.newversion"), 1u);
+  EXPECT_EQ(stats.counter("core.update"), 1u);
+  EXPECT_GE(stats.counter("core.delete_version"), 2u);
+  EXPECT_EQ(stats.counter("core.delete_object"), 1u);
   // The storage-level view: every autocommitted operation above ran its own
   // transaction, and nothing here aborted.
-  EXPECT_GE(stats.txn_commits, 5u);
-  EXPECT_EQ(stats.txn_aborts, 0u);
-  EXPECT_GT(stats.wal_appends, 0u);
-  EXPECT_GT(stats.wal_fsyncs, 0u);
+  EXPECT_GE(stats.counter("txn.commits"), 5u);
+  EXPECT_EQ(stats.counter("txn.aborts"), 0u);
+  EXPECT_GT(stats.counter("wal.appends"), 0u);
+  EXPECT_GT(stats.counter("wal.fsyncs"), 0u);
 }
 
 TEST_F(DatabaseTest, StatsExposeGroupCommitCounters) {
-  const VersionStats before = db_->stats();
+  const MetricsRegistry::Snapshot before = db_->MetricsSnapshot();
   constexpr int kCommits = 8;
   VersionId vid = MustPnew("gc");
   for (int i = 1; i < kCommits; ++i) {
     ASSERT_OK(db_->UpdateLatest(vid.oid, Slice("gc" + std::to_string(i))));
   }
-  const VersionStats after = db_->stats();
+  const MetricsRegistry::Snapshot after = db_->MetricsSnapshot();
+  const auto delta = [&](const char* name) {
+    return after.counter(name) - before.counter(name);
+  };
   // Every autocommit above went through the group-commit queue: one commit
   // per call, each in its own batch (a solo writer never lingers), all
   // durable by the time the call returned.
-  EXPECT_EQ(after.group_commit_commits - before.group_commit_commits,
-            static_cast<uint64_t>(kCommits));
-  EXPECT_EQ(after.group_commit_batches - before.group_commit_batches,
-            static_cast<uint64_t>(kCommits));
-  EXPECT_GE(after.group_commit_fsyncs, before.group_commit_fsyncs + kCommits);
-  EXPECT_EQ(after.async_pending, 0u);
+  EXPECT_EQ(delta("groupcommit.commits"), static_cast<uint64_t>(kCommits));
+  EXPECT_EQ(delta("groupcommit.batches"), static_cast<uint64_t>(kCommits));
+  EXPECT_GE(delta("groupcommit.fsyncs"), static_cast<uint64_t>(kCommits));
+  EXPECT_EQ(after.gauge("groupcommit.async_pending"), 0);
   // The fence is a no-op when everything is already durable.
   ASSERT_OK(db_->WaitForDurable());
 }
@@ -311,7 +313,7 @@ class AsyncCommitDatabaseTest : public DatabaseFixture {
 };
 
 TEST_F(AsyncCommitDatabaseTest, AsyncCommitsAckEarlyAndFenceDrains) {
-  const VersionStats before = db_->stats();
+  const MetricsRegistry::Snapshot before = db_->MetricsSnapshot();
   constexpr int kCommits = 50;
   VersionId vid = MustPnew("async");
   for (int i = 1; i < kCommits; ++i) {
@@ -319,15 +321,17 @@ TEST_F(AsyncCommitDatabaseTest, AsyncCommitsAckEarlyAndFenceDrains) {
   }
   // Async commits ack at append time, so far fewer fsyncs than commits have
   // happened (only open/bootstrap syncs and background catch-up ticks).
-  const VersionStats acked = db_->stats();
-  EXPECT_EQ(acked.group_commit_commits - before.group_commit_commits,
+  const MetricsRegistry::Snapshot acked = db_->MetricsSnapshot();
+  EXPECT_EQ(acked.counter("groupcommit.commits") -
+                before.counter("groupcommit.commits"),
             static_cast<uint64_t>(kCommits));
-  EXPECT_LT(acked.group_commit_fsyncs - before.group_commit_fsyncs,
+  EXPECT_LT(acked.counter("groupcommit.fsyncs") -
+                before.counter("groupcommit.fsyncs"),
             static_cast<uint64_t>(kCommits));
   // The durability fence flushes the tail; afterwards nothing is pending
   // and the data is still there.
   ASSERT_OK(db_->WaitForDurable());
-  EXPECT_EQ(db_->stats().async_pending, 0u);
+  EXPECT_EQ(db_->MetricsSnapshot().gauge("groupcommit.async_pending"), 0);
   EXPECT_EQ(MustReadLatest(vid.oid), "async" + std::to_string(kCommits - 1));
 }
 
@@ -358,26 +362,17 @@ TEST_F(SmallPoolDatabaseTest, StatsExposeBufferPoolEvictions) {
   // misses past capacity must evict.
   ReopenDb();
   for (ObjectId oid : oids) MustReadLatest(oid);
-  const VersionStats stats = db_->stats();
-  EXPECT_GT(stats.buffer_pool_evictions, 0u);
+  EXPECT_GT(db_->MetricsSnapshot().counter("bufferpool.evictions"), 0u);
 }
 
 TEST_F(SmallPoolDatabaseTest, MetricsSnapshotCoversTheStack) {
   const ObjectId oid = MustPnew("payload").oid;
   for (int i = 0; i < 10; ++i) MustReadLatest(oid);
   const MetricsRegistry::Snapshot snap = db_->MetricsSnapshot();
-
-  auto counter = [&](const std::string& name) -> uint64_t {
-    for (const auto& [n, v] : snap.counters) {
-      if (n == name) return v;
-    }
-    ADD_FAILURE() << "counter not in snapshot: " << name;
-    return 0;
-  };
-  EXPECT_EQ(counter("core.pnew"), 1u);
-  EXPECT_GT(counter("txn.commits"), 0u);
-  EXPECT_GT(counter("wal.appends"), 0u);
-  EXPECT_GT(counter("bufferpool.misses"), 0u);
+  EXPECT_EQ(snap.counter("core.pnew"), 1u);
+  EXPECT_GT(snap.counter("txn.commits"), 0u);
+  EXPECT_GT(snap.counter("wal.appends"), 0u);
+  EXPECT_GT(snap.counter("bufferpool.misses"), 0u);
 
   // With metrics_sample_every = 1 every ReadLatest lands in the histogram.
   bool found = false;
@@ -390,6 +385,62 @@ TEST_F(SmallPoolDatabaseTest, MetricsSnapshotCoversTheStack) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+TEST_F(DatabaseTest, RegistrySnapshotsAreFreshWithoutHelp) {
+  // The caches and the pool count per shard; their pull hooks sum those
+  // counts into every snapshot, including one taken straight from the
+  // registry (no Database call in between to refresh anything).
+  const VersionId vid = MustPnew("fresh");
+  const MetricsRegistry::Snapshot before =
+      db_->metrics_registry().SnapshotAll();
+  for (int i = 0; i < 3; ++i) {
+    MustRead(vid);
+    MustReadLatest(vid.oid);
+  }
+  const MetricsRegistry::Snapshot after =
+      db_->metrics_registry().SnapshotAll();
+  EXPECT_GE(after.counter("payload_cache.hits"),
+            before.counter("payload_cache.hits") + 2);
+  EXPECT_GE(after.counter("latest_cache.hits"),
+            before.counter("latest_cache.hits") + 2);
+  EXPECT_GT(after.counter("bufferpool.hits"),
+            before.counter("bufferpool.hits"));
+  EXPECT_GT(after.gauge("bufferpool.resident_pages"), 0);
+}
+
+TEST_F(DatabaseTest, MetricsSnapshotCarriesEveryBenchmarkCounter) {
+  // A small mixed workload; afterwards every counter name the benchmark
+  // harness (perfbench/src/harness.cc) reads must be in the snapshot, as a
+  // counter, so a rename cannot silently zero a per-layer figure.
+  const VersionId v1 = MustPnew(std::string(256, 'a'));
+  auto v2 = db_->NewVersionOf(v1.oid);
+  ASSERT_OK(v2.status());
+  ASSERT_OK(db_->UpdateLatest(v1.oid, Slice(std::string(256, 'b'))));
+  MustRead(v1);
+  MustReadLatest(v1.oid);
+  ASSERT_OK(db_->Checkpoint());
+  MustRead(*v2);  // Cached, so the delete below invalidates an entry.
+  ASSERT_OK(db_->PdeleteVersion(*v2));
+
+  const MetricsRegistry::Snapshot snap = db_->MetricsSnapshot();
+  std::set<std::string> counters;
+  for (const auto& [name, value] : snap.counters) counters.insert(name);
+  for (const char* name :
+       {"payload_cache.hits", "payload_cache.misses", "payload_cache.evictions",
+        "payload_cache.invalidations", "payload_cache.epoch_discards",
+        "latest_cache.hits", "latest_cache.misses", "latest_cache.evictions",
+        "latest_cache.invalidations", "latest_cache.epoch_discards",
+        "bufferpool.hits", "bufferpool.misses", "bufferpool.evictions",
+        "core.delta_applications", "core.delta_bytes_written",
+        "payload_store.dedupe_hits", "payload_store.blobs_created",
+        "btree.descents", "wal.append_bytes", "groupcommit.commits",
+        "groupcommit.fsyncs", "txn.commits", "storage.checkpoints",
+        "storage.page_writes"}) {
+    EXPECT_EQ(counters.count(name), 1u) << "counter missing: " << name;
+  }
+  EXPECT_GT(snap.counter("storage.checkpoints"), 0u);
+  EXPECT_GT(snap.counter("payload_cache.invalidations"), 0u);
 }
 
 TEST_F(DatabaseTest, TypeRegistrationIsIdempotent) {

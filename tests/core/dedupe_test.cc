@@ -43,10 +43,11 @@ TEST_F(DedupeTest, DuplicateHeavyWorkloadSharesOneBlob) {
   for (int i = 0; i < kObjects; ++i) {
     oids.push_back(MustPnew(shared).oid);
   }
-  const VersionStats stats = db_->stats();
-  EXPECT_EQ(stats.payload_blobs_created, 1u);
-  EXPECT_EQ(stats.payload_dedupe_hits, static_cast<uint64_t>(kObjects - 1));
-  EXPECT_EQ(stats.payload_dedupe_bytes_saved,
+  const MetricsRegistry::Snapshot stats = db_->MetricsSnapshot();
+  EXPECT_EQ(stats.counter("payload_store.blobs_created"), 1u);
+  EXPECT_EQ(stats.counter("payload_store.dedupe_hits"),
+            static_cast<uint64_t>(kObjects - 1));
+  EXPECT_EQ(stats.counter("payload_store.dedupe_bytes_saved"),
             static_cast<uint64_t>(kObjects - 1) * shared.size());
   // The acceptance bar: >= 2x stored-bytes reduction on duplicate-heavy
   // writes.  Here the logical write volume is kObjects payloads against ONE
@@ -72,11 +73,12 @@ TEST_F(DedupeTest, DeletingSharersFreesBlobOnlyAtLastReference) {
   for (int i = 0; i < 5; ++i) oids.push_back(MustPnew(shared).oid);
   for (int i = 0; i < 4; ++i) {
     ASSERT_OK(db_->PdeleteObject(oids[i]));
-    EXPECT_EQ(db_->stats().payload_blobs_freed, 0u) << "after delete " << i;
+    EXPECT_EQ(db_->MetricsSnapshot().counter("payload_store.blobs_freed"), 0u)
+        << "after delete " << i;
     EXPECT_EQ(MustReadLatest(oids.back()), shared);
   }
   ASSERT_OK(db_->PdeleteObject(oids.back()));
-  EXPECT_EQ(db_->stats().payload_blobs_freed, 1u);
+  EXPECT_EQ(db_->MetricsSnapshot().counter("payload_store.blobs_freed"), 1u);
   EXPECT_EQ(StoredBlobBytes(*db_), 0u);
   auto report = CheckDatabase(*db_);
   ASSERT_TRUE(report.ok()) << report.status();
@@ -95,9 +97,10 @@ TEST_F(DedupeTest, UpdateToSameContentKeepsSingleBlob) {
   ASSERT_OK(db_->UpdateVersion(a, Slice(content)));  // Same-content rewrite.
   EXPECT_EQ(MustRead(a), content);
   EXPECT_EQ(MustRead(b), content);
-  const VersionStats stats = db_->stats();
-  EXPECT_EQ(stats.payload_blobs_created, 2u);  // content + "something else".
-  EXPECT_EQ(stats.payload_blobs_freed, 1u);    // "something else".
+  const MetricsRegistry::Snapshot stats = db_->MetricsSnapshot();
+  // Created: content + "something else"; freed: "something else".
+  EXPECT_EQ(stats.counter("payload_store.blobs_created"), 2u);
+  EXPECT_EQ(stats.counter("payload_store.blobs_freed"), 1u);
   auto report = CheckDatabase(*db_);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->ok()) << report->errors.front();
@@ -205,8 +208,9 @@ TEST_P(DedupeTwinTest, LogicalStateMatchesPlainStorage) {
   }
   // The content-addressed twin must have actually deduplicated something on
   // this duplicate-heavy sequence.
-  EXPECT_GT(ca.db->stats().payload_dedupe_hits, 0u);
-  EXPECT_EQ(plain.db->stats().payload_dedupe_hits, 0u);
+  const char* kHits = "payload_store.dedupe_hits";
+  EXPECT_GT(ca.db->MetricsSnapshot().counter(kHits), 0u);
+  EXPECT_EQ(plain.db->MetricsSnapshot().counter(kHits), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Strategies, DedupeTwinTest,

@@ -62,12 +62,15 @@ TEST_F(DeltaStoreTest, SmallEditsStoredAsSmallDeltas) {
   Random rng(9);
   std::string content = rng.NextBytes(8000);
   VersionId v0 = MustPnew(content);
-  const uint64_t full_bytes_before = db_->stats().full_bytes_written;
+  const auto full_bytes = [&] {
+    return db_->MetricsSnapshot().counter("core.full_bytes_written");
+  };
+  const uint64_t full_bytes_before = full_bytes();
   auto v1 = db_->NewVersionOf(v0.oid);
   ASSERT_TRUE(v1.ok());
   content[100] ^= 0x20;  // One-byte edit.
   ASSERT_OK(db_->UpdateVersion(*v1, Slice(content)));
-  EXPECT_EQ(db_->stats().full_bytes_written, full_bytes_before)
+  EXPECT_EQ(full_bytes(), full_bytes_before)
       << "the edit should have been stored as a delta";
   EXPECT_EQ(MustRead(*v1), content);
   EXPECT_EQ(MustRead(v0).size(), 8000u);
@@ -146,10 +149,11 @@ TEST_F(DeltaStoreTest, DeltaWritesFarSmallerThanFullCopies) {
     ASSERT_OK(db_->UpdateLatest(oid, Slice(content)));
     current = *next;
   }
-  const VersionStats& stats = db_->stats();
+  const MetricsRegistry::Snapshot stats = db_->MetricsSnapshot();
   // Full bytes: the root version + periodic keyframes.  Delta bytes: the
   // rest.  Together they must be far below 17 full copies.
-  const uint64_t total = stats.full_bytes_written + stats.delta_bytes_written;
+  const uint64_t total = stats.counter("core.full_bytes_written") +
+                         stats.counter("core.delta_bytes_written");
   EXPECT_LT(total, 17u * 16384u / 2);
   EXPECT_EQ(MustRead(current), content);
 }
@@ -158,15 +162,15 @@ TEST_F(DeltaStoreTest, StatsDistinguishFullAndDelta) {
   VersionId v0 = MustPnew(std::string(1000, 'z'));
   auto v1 = db_->NewVersionOf(v0.oid);
   ASSERT_TRUE(v1.ok());
-  const VersionStats& after_create = db_->stats();
-  EXPECT_GE(after_create.full_payloads_written, 1u);
-  EXPECT_GE(after_create.delta_payloads_written, 1u);
+  const MetricsRegistry::Snapshot after_create = db_->MetricsSnapshot();
+  EXPECT_GE(after_create.counter("core.full_payloads_written"), 1u);
+  EXPECT_GE(after_create.counter("core.delta_payloads_written"), 1u);
   // newversion takes the identity-delta fast path: NO materialization.
-  EXPECT_EQ(after_create.materializations, 0u);
+  EXPECT_EQ(after_create.counter("core.materializations"), 0u);
   // Reading the delta version materializes through the chain.
   EXPECT_EQ(MustRead(*v1), std::string(1000, 'z'));
-  EXPECT_GT(db_->stats().materializations, 0u);
-  EXPECT_GT(db_->stats().delta_applications, 0u);
+  EXPECT_GT(db_->MetricsSnapshot().counter("core.materializations"), 0u);
+  EXPECT_GT(db_->MetricsSnapshot().counter("core.delta_applications"), 0u);
 }
 
 /// The full-copy strategy (default) never writes deltas.
@@ -189,7 +193,7 @@ TEST_F(FullCopyStoreTest, AllPayloadsAreFull) {
     ASSERT_TRUE(meta.ok());
     EXPECT_EQ(meta->kind, PayloadKind::kFull);
   }
-  EXPECT_EQ(db_->stats().delta_payloads_written, 0u);
+  EXPECT_EQ(db_->MetricsSnapshot().counter("core.delta_payloads_written"), 0u);
 }
 
 }  // namespace

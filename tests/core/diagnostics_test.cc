@@ -15,15 +15,12 @@
 #include "core/database.h"
 #include "storage/fault_env.h"
 #include "tests/testing/db_fixture.h"
-#include "tests/testing/json_util.h"
 #include "util/event_log.h"
 #include "util/json.h"
 
 namespace ode {
 namespace {
 
-using testing::FindJsonNumber;
-using testing::FindJsonString;
 using testing_internal::DatabaseFixture;
 
 // --- File naming ----------------------------------------------------------
@@ -76,23 +73,31 @@ TEST_F(DiagnosticsTest, ManualDumpIsWellFormedAndComplete) {
 
   auto doc = ReadDiagnosticsFile(&env_, *path);
   ASSERT_OK(doc.status());
-  std::string error;
-  ASSERT_TRUE(IsWellFormedJson(*doc, &error)) << error;
+  auto leaves = ReadJson(*doc);
+  ASSERT_OK(leaves.status());
+  const auto& numbers = leaves->numbers;
+  const auto& strings = leaves->strings;
 
-  EXPECT_EQ(FindJsonNumber(*doc, "schema"), 1.0);
-  EXPECT_EQ(FindJsonString(*doc, "trigger"), "manual");
-  EXPECT_EQ(FindJsonNumber(*doc, "seq"), 1.0);
-  EXPECT_EQ(FindJsonString(*doc, "state"), "ok");
+  EXPECT_EQ(numbers.at("schema"), 2.0);
+  EXPECT_EQ(strings.at("trigger"), "manual");
+  EXPECT_EQ(numbers.at("seq"), 1.0);
+  EXPECT_EQ(strings.at("health.state"), "ok");
 
   // Every layer's section made it into the document.
-  for (const char* key :
-       {"health", "poison", "wal", "recovery", "latches", "buffer_pool",
-        "caches", "vacuum", "event_log", "metrics"}) {
+  for (const char* key : {"health", "poison", "wal", "recovery", "latches",
+                          "vacuum", "event_log", "metrics"}) {
     EXPECT_NE(doc->find("\"" + std::string(key) + "\":"), std::string::npos)
         << "missing section: " << key;
   }
+  // The caches and the buffer pool report through the metrics section.
+  for (const char* counter :
+       {"payload_cache.hits", "latest_cache.misses", "bufferpool.hits",
+        "bufferpool.evictions"}) {
+    EXPECT_EQ(numbers.count("metrics.counters." + std::string(counter)), 1u)
+        << "missing counter: " << counter;
+  }
 
-  EXPECT_EQ(FindJsonNumber(*doc, "sample_every"), 0.0);  // Tracing off.
+  EXPECT_EQ(numbers.at("event_log.sample_every"), 0.0);  // Tracing off.
 
   // The engine journaled the workload: commits appear in the embedded
   // journal, and the dump stamped itself in as the newest (health) record.
@@ -100,9 +105,9 @@ TEST_F(DiagnosticsTest, ManualDumpIsWellFormedAndComplete) {
   EXPECT_NE(doc->find("\"type\":\"health\""), std::string::npos);
 
   // Watermarks are internally ordered even on a healthy database.
-  const double enqueued = *FindJsonNumber(*doc, "enqueued_txn");
-  const double appended = *FindJsonNumber(*doc, "appended_txn");
-  const double durable = *FindJsonNumber(*doc, "durable_txn");
+  const double enqueued = numbers.at("wal.enqueued_txn");
+  const double appended = numbers.at("wal.appended_txn");
+  const double durable = numbers.at("wal.durable_txn");
   EXPECT_LE(durable, appended);
   EXPECT_LE(appended, enqueued);
 }
@@ -162,11 +167,11 @@ TEST(DiagnosticsPoisonTest, PoisonExportsDumpAutomatically) {
   ASSERT_EQ(dumps->size(), 1u);
   auto doc = ReadDiagnosticsFile(&env, "/db/" + (*dumps)[0].second);
   ASSERT_OK(doc.status());
-  std::string error;
-  ASSERT_TRUE(IsWellFormedJson(*doc, &error)) << error;
+  auto leaves = ReadJson(*doc);
+  ASSERT_OK(leaves.status());
 
-  EXPECT_EQ(FindJsonString(*doc, "trigger"), "poison");
-  EXPECT_EQ(FindJsonString(*doc, "state"), "poisoned");
+  EXPECT_EQ(leaves->strings.at("trigger"), "poison");
+  EXPECT_EQ(leaves->strings.at("health.state"), "poisoned");
   EXPECT_NE(doc->find("\"poisoned\":true"), std::string::npos);
   EXPECT_NE(doc->find("injected sync failure"), std::string::npos);
   // The injected fault that felled the engine is in the journal...
@@ -277,10 +282,9 @@ TEST(MetricsExportTest, ExporterWritesAtOpenAndClose) {
     ASSERT_TRUE(env.FileExists(metrics_path));
     auto at_open = ReadDiagnosticsFile(&env, metrics_path);
     ASSERT_OK(at_open.status());
-    std::string error;
-    ASSERT_TRUE(IsWellFormedJson(*at_open, &error)) << error;
-    const auto ts_open = FindJsonNumber(*at_open, "ts_micros");
-    ASSERT_TRUE(ts_open.has_value());
+    auto leaves = ReadJson(*at_open);
+    ASSERT_OK(leaves.status());
+    EXPECT_EQ(leaves->numbers.count("ts_micros"), 1u);
 
     auto type_id = (*db)->RegisterType("raw");
     ASSERT_OK(type_id.status());
@@ -289,12 +293,9 @@ TEST(MetricsExportTest, ExporterWritesAtOpenAndClose) {
   // The closing export captured the workload's counters.
   auto at_close = ReadDiagnosticsFile(&env, metrics_path);
   ASSERT_OK(at_close.status());
-  std::string error;
-  ASSERT_TRUE(IsWellFormedJson(*at_close, &error)) << error;
-  EXPECT_NE(at_close->find("\"counters\":"), std::string::npos);
-  const auto commits = FindJsonNumber(*at_close, "txn.commits");
-  ASSERT_TRUE(commits.has_value());
-  EXPECT_GE(*commits, 1.0);
+  auto leaves = ReadJson(*at_close);
+  ASSERT_OK(leaves.status());
+  EXPECT_GE(leaves->numbers["metrics.counters.txn.commits"], 1.0);
 }
 
 TEST(MetricsExportTest, DisabledExporterWritesNothing) {

@@ -41,28 +41,6 @@ TEST(OptionsValidateTest, BufferPoolPagesMustBePositive) {
   ExpectInvalid(options, "buffer_pool_pages");
 }
 
-TEST(OptionsValidateTest, ShardCountsMustBeZeroOrPowerOfTwo) {
-  MemEnv env;
-  DatabaseOptions options = BaseOptions(&env);
-  options.storage.buffer_pool_shards = 3;
-  ExpectInvalid(options, "buffer_pool_shards");
-
-  options = BaseOptions(&env);
-  options.payload_cache_shards = 6;
-  ExpectInvalid(options, "payload_cache_shards");
-
-  options = BaseOptions(&env);
-  options.latest_cache_shards = 5;
-  ExpectInvalid(options, "latest_cache_shards");
-
-  // 0 (auto) and powers of two are all legal.
-  options = BaseOptions(&env);
-  options.storage.buffer_pool_shards = 8;
-  options.payload_cache_shards = 1;
-  options.latest_cache_shards = 16;
-  EXPECT_OK(options.Validate());
-}
-
 TEST(OptionsValidateTest, KeyframeIntervalMustBePositive) {
   MemEnv env;
   DatabaseOptions options = BaseOptions(&env);

@@ -12,7 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/database.h"
@@ -26,128 +29,285 @@ namespace {
 // ---------------------------------------------------------------------------
 // 1. LRU/epoch unit tests
 // ---------------------------------------------------------------------------
+//
+// Both caches are instances of one template (ShardedLru), so every scenario
+// below is written once and run over both instantiations: keys and values
+// come from the Keys<Cache> helpers, budgets are counted in entries via
+// Charge().  Counters are read the way every caller reads them: through a
+// registry snapshot, looked up by name.
 
 VersionId Vid(uint64_t oid, VersionNum vnum) {
   return VersionId{ObjectId{oid}, vnum};
 }
 
+template <typename Cache>
+struct Keys;
+
+template <>
+struct Keys<VersionPayloadCache> {
+  static VersionId Key(uint64_t i) { return Vid(i / 4 + 1, i % 4 + 1); }
+  static ObjectId OwnerOf(const VersionId& vid) { return vid.oid; }
+  static std::string Value(uint64_t i) {
+    return std::string(100, static_cast<char>('a' + i % 26));
+  }
+};
+
+template <>
+struct Keys<LatestVersionCache> {
+  static ObjectId Key(uint64_t i) { return ObjectId{i + 1}; }
+  static ObjectId OwnerOf(const ObjectId& oid) { return oid; }
+  static VersionNum Value(uint64_t i) { return static_cast<VersionNum>(i + 1); }
+};
+
+/// A cache instance publishing into its own registry.
+template <typename Cache>
+struct CacheUnderTest {
+  explicit CacheUnderTest(uint64_t budget, size_t shards = 0)
+      : cache(budget, &registry, "cache", shards) {}
+  uint64_t Counter(const std::string& field) const {
+    return registry.SnapshotAll().counter("cache." + field);
+  }
+  /// Budget holding exactly `n` entries of Keys<Cache>::Value size.
+  static uint64_t Charge(uint64_t n) {
+    return n * (std::is_same_v<Cache, VersionPayloadCache>
+                    ? 100 + PayloadCharge::kEntryOverhead
+                    : 1);
+  }
+  MetricsRegistry registry;  // Declared first: outlives the cache's hook.
+  Cache cache;
+};
+
+template <typename Cache>
+void LookupMissThenHit() {
+  using K = Keys<Cache>;
+  CacheUnderTest<Cache> t(1 << 20);
+  auto out = K::Value(1);
+  EXPECT_FALSE(t.cache.Lookup(K::Key(0), &out));
+  t.cache.Insert(K::Key(0), K::Value(0));
+  ASSERT_TRUE(t.cache.Lookup(K::Key(0), &out));
+  EXPECT_EQ(out, K::Value(0));
+  EXPECT_EQ(t.Counter("hits"), 1u);
+  EXPECT_EQ(t.Counter("misses"), 1u);
+}
+
+template <typename Cache>
+void ZeroBudgetDisables() {
+  using K = Keys<Cache>;
+  CacheUnderTest<Cache> t(0);
+  EXPECT_FALSE(t.cache.enabled());
+  t.cache.Insert(K::Key(0), K::Value(0));
+  auto out = K::Value(1);
+  EXPECT_FALSE(t.cache.Lookup(K::Key(0), &out));
+  EXPECT_EQ(t.cache.entries(), 0u);
+  EXPECT_EQ(t.Counter("misses"), 0u);  // A disabled cache counts nothing.
+}
+
+template <typename Cache>
+void BudgetEvictsLeastRecentlyUsed() {
+  using K = Keys<Cache>;
+  CacheUnderTest<Cache> t(CacheUnderTest<Cache>::Charge(3));
+  for (uint64_t i = 0; i < 3; ++i) t.cache.Insert(K::Key(i), K::Value(i));
+  auto out = K::Value(0);
+  ASSERT_TRUE(t.cache.Lookup(K::Key(0), &out));  // 0 becomes MRU.
+  t.cache.Insert(K::Key(3), K::Value(3));         // Evicts 1 (LRU).
+  EXPECT_FALSE(t.cache.Lookup(K::Key(1), &out));
+  EXPECT_TRUE(t.cache.Lookup(K::Key(0), &out));
+  EXPECT_TRUE(t.cache.Lookup(K::Key(2), &out));
+  EXPECT_TRUE(t.cache.Lookup(K::Key(3), &out));
+  EXPECT_EQ(t.Counter("evictions"), 1u);
+  EXPECT_LE(t.cache.charge_in_use(), t.cache.budget());
+  t.cache.Erase(K::Key(3));
+  EXPECT_FALSE(t.cache.Lookup(K::Key(3), &out));
+  EXPECT_EQ(t.Counter("invalidations"), 1u);
+}
+
+template <typename Cache>
+void EraseIfDropsMatchingKeys() {
+  using K = Keys<Cache>;
+  CacheUnderTest<Cache> t(1 << 20);
+  for (uint64_t i = 0; i < 8; ++i) t.cache.Insert(K::Key(i), K::Value(i));
+  const ObjectId doomed = K::OwnerOf(K::Key(0));
+  uint64_t dropped = 0;
+  for (uint64_t i = 0; i < 8; ++i) dropped += K::OwnerOf(K::Key(i)) == doomed;
+  t.cache.EraseIf(
+      [&](const auto& key) { return K::OwnerOf(key) == doomed; });
+  auto out = K::Value(0);
+  for (uint64_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(t.cache.Lookup(K::Key(i), &out),
+              !(K::OwnerOf(K::Key(i)) == doomed))
+        << "key " << i;
+  }
+  EXPECT_EQ(t.Counter("invalidations"), dropped);
+}
+
+template <typename Cache>
+void AbortEpochDiscardsOnlyEpochInstalls() {
+  using K = Keys<Cache>;
+  CacheUnderTest<Cache> t(1 << 20);
+  t.cache.Insert(K::Key(0), K::Value(0));
+  t.cache.BeginEpoch();
+  t.cache.Insert(K::Key(1), K::Value(1));
+  t.cache.AbortEpoch();
+  auto out = K::Value(0);
+  EXPECT_TRUE(t.cache.Lookup(K::Key(0), &out));
+  EXPECT_FALSE(t.cache.Lookup(K::Key(1), &out));
+  EXPECT_EQ(t.Counter("epoch_discards"), 1u);
+}
+
+template <typename Cache>
+void CommitEpochPromotesInstalls() {
+  using K = Keys<Cache>;
+  CacheUnderTest<Cache> t(1 << 20);
+  t.cache.BeginEpoch();
+  t.cache.Insert(K::Key(0), K::Value(0));
+  t.cache.CommitEpoch();
+  // A later abort of a different epoch must not touch the promoted entry.
+  t.cache.BeginEpoch();
+  t.cache.AbortEpoch();
+  auto out = K::Value(1);
+  EXPECT_TRUE(t.cache.Lookup(K::Key(0), &out));
+  EXPECT_EQ(out, K::Value(0));
+}
+
+template <typename Cache>
+void EpochOverwriteOfCommittedEntryIsDiscardable() {
+  using K = Keys<Cache>;
+  CacheUnderTest<Cache> t(1 << 20);
+  t.cache.Insert(K::Key(0), K::Value(0));
+  t.cache.BeginEpoch();
+  t.cache.Insert(K::Key(0), K::Value(1));
+  t.cache.AbortEpoch();
+  // The conservative choice: the overwritten entry is dropped entirely
+  // rather than restored (a miss is always safe).
+  auto out = K::Value(0);
+  EXPECT_FALSE(t.cache.Lookup(K::Key(0), &out));
+}
+
+/// Randomized twin: a random stream of every cache operation against a
+/// model holding what each key may legally return.  A hit must return the
+/// model's value (a miss is always allowed: the budget may have evicted the
+/// entry), an aborted epoch's installs must never be served, the budget must
+/// hold, and the hit/miss counters must add up to the probes made.
+template <typename Cache>
+void RandomOpsMatchModel(uint64_t seed, uint64_t budget_entries,
+                         size_t shards) {
+  using K = Keys<Cache>;
+  using V = decltype(K::Value(0));
+  CacheUnderTest<Cache> t(CacheUnderTest<Cache>::Charge(budget_entries),
+                          shards);
+  std::map<uint64_t, V> model;  // Key index -> the only value it may hold.
+  std::set<uint64_t> epoch_keys;
+  bool in_epoch = false;
+  uint64_t probes = 0;
+  Random rng(seed);
+  for (int op = 0; op < 4000; ++op) {
+    const uint64_t i = rng.Uniform(64);
+    const int action = static_cast<int>(rng.Uniform(100));
+    if (action < 40) {
+      V out = K::Value(i + 1);
+      ++probes;
+      if (t.cache.Lookup(K::Key(i), &out)) {
+        ASSERT_EQ(model.count(i), 1u) << "served a key it must not hold: " << i;
+        ASSERT_EQ(out, model[i]) << "stale value for key " << i;
+      }
+    } else if (action < 75) {
+      const V value = K::Value(rng.Uniform(1000));
+      t.cache.Insert(K::Key(i), value);
+      model[i] = value;
+      if (in_epoch) epoch_keys.insert(i);
+    } else if (action < 85) {
+      t.cache.Erase(K::Key(i));
+      model.erase(i);
+    } else if (action < 88) {
+      const ObjectId owner = K::OwnerOf(K::Key(i));
+      t.cache.EraseIf(
+          [&](const auto& key) { return K::OwnerOf(key) == owner; });
+      for (auto it = model.begin(); it != model.end();) {
+        it = K::OwnerOf(K::Key(it->first)) == owner ? model.erase(it)
+                                                   : std::next(it);
+      }
+    } else if (!in_epoch) {
+      t.cache.BeginEpoch();
+      in_epoch = true;
+      epoch_keys.clear();
+    } else {
+      if (rng.OneIn(2)) {
+        t.cache.CommitEpoch();
+      } else {
+        t.cache.AbortEpoch();
+        for (uint64_t k : epoch_keys) model.erase(k);
+      }
+      in_epoch = false;
+    }
+    ASSERT_LE(t.cache.charge_in_use(), t.cache.budget());
+    ASSERT_LE(t.cache.entries(), model.size());
+  }
+  EXPECT_EQ(t.Counter("hits") + t.Counter("misses"), probes);
+}
+
 TEST(VersionPayloadCacheTest, LookupMissThenHit) {
-  VersionPayloadCache cache(1 << 20);
-  std::string out;
-  EXPECT_FALSE(cache.Lookup(Vid(1, 1), &out));
-  cache.Insert(Vid(1, 1), "hello");
-  ASSERT_TRUE(cache.Lookup(Vid(1, 1), &out));
-  EXPECT_EQ(out, "hello");
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
+  LookupMissThenHit<VersionPayloadCache>();
+}
+TEST(LatestVersionCacheTest, LookupMissThenHit) {
+  LookupMissThenHit<LatestVersionCache>();
 }
 
 TEST(VersionPayloadCacheTest, ZeroBudgetDisables) {
-  VersionPayloadCache cache(0);
-  EXPECT_FALSE(cache.enabled());
-  cache.Insert(Vid(1, 1), "x");
-  std::string out;
-  EXPECT_FALSE(cache.Lookup(Vid(1, 1), &out));
-  EXPECT_EQ(cache.entries(), 0u);
+  ZeroBudgetDisables<VersionPayloadCache>();
+}
+TEST(LatestVersionCacheTest, ZeroBudgetDisables) {
+  ZeroBudgetDisables<LatestVersionCache>();
 }
 
 TEST(VersionPayloadCacheTest, ByteBudgetEvictsLeastRecentlyUsed) {
-  // Budget for ~3 entries of 100 payload bytes (+64 overhead each).
-  VersionPayloadCache cache(3 * (100 + VersionPayloadCache::kEntryOverhead));
-  const std::string payload(100, 'p');
-  cache.Insert(Vid(1, 1), payload);
-  cache.Insert(Vid(1, 2), payload);
-  cache.Insert(Vid(1, 3), payload);
-  std::string out;
-  ASSERT_TRUE(cache.Lookup(Vid(1, 1), &out));  // 1 becomes MRU.
-  cache.Insert(Vid(1, 4), payload);            // Evicts 2 (LRU).
-  EXPECT_FALSE(cache.Lookup(Vid(1, 2), &out));
-  EXPECT_TRUE(cache.Lookup(Vid(1, 1), &out));
-  EXPECT_TRUE(cache.Lookup(Vid(1, 3), &out));
-  EXPECT_TRUE(cache.Lookup(Vid(1, 4), &out));
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_LE(cache.bytes_in_use(), cache.byte_budget());
+  BudgetEvictsLeastRecentlyUsed<VersionPayloadCache>();
+}
+TEST(LatestVersionCacheTest, InsertLookupEraseAndEviction) {
+  BudgetEvictsLeastRecentlyUsed<LatestVersionCache>();
 }
 
 TEST(VersionPayloadCacheTest, OversizedEntryNotAdmitted) {
-  VersionPayloadCache cache(128);
-  cache.Insert(Vid(1, 1), std::string(4096, 'x'));
-  EXPECT_EQ(cache.entries(), 0u);
+  CacheUnderTest<VersionPayloadCache> t(128);
+  t.cache.Insert(Vid(1, 1), std::string(4096, 'x'));
+  EXPECT_EQ(t.cache.entries(), 0u);
 }
 
 TEST(VersionPayloadCacheTest, EraseObjectDropsAllVersions) {
-  VersionPayloadCache cache(1 << 20);
-  cache.Insert(Vid(7, 1), "a");
-  cache.Insert(Vid(7, 2), "b");
-  cache.Insert(Vid(8, 1), "c");
-  cache.EraseObject(ObjectId{7});
-  std::string out;
-  EXPECT_FALSE(cache.Lookup(Vid(7, 1), &out));
-  EXPECT_FALSE(cache.Lookup(Vid(7, 2), &out));
-  EXPECT_TRUE(cache.Lookup(Vid(8, 1), &out));
-  EXPECT_EQ(cache.stats().invalidations, 2u);
+  EraseIfDropsMatchingKeys<VersionPayloadCache>();
+}
+TEST(LatestVersionCacheTest, EraseIfDropsMatchingKeys) {
+  EraseIfDropsMatchingKeys<LatestVersionCache>();
 }
 
 TEST(VersionPayloadCacheTest, AbortEpochDiscardsOnlyEpochInstalls) {
-  VersionPayloadCache cache(1 << 20);
-  cache.Insert(Vid(1, 1), "committed");
-  cache.BeginEpoch();
-  cache.Insert(Vid(1, 2), "uncommitted");
-  cache.AbortEpoch();
-  std::string out;
-  EXPECT_TRUE(cache.Lookup(Vid(1, 1), &out));
-  EXPECT_FALSE(cache.Lookup(Vid(1, 2), &out));
-  EXPECT_EQ(cache.stats().epoch_discards, 1u);
+  AbortEpochDiscardsOnlyEpochInstalls<VersionPayloadCache>();
+}
+TEST(LatestVersionCacheTest, AbortEpochDiscardsInstalls) {
+  AbortEpochDiscardsOnlyEpochInstalls<LatestVersionCache>();
 }
 
 TEST(VersionPayloadCacheTest, CommitEpochPromotesInstalls) {
-  VersionPayloadCache cache(1 << 20);
-  cache.BeginEpoch();
-  cache.Insert(Vid(1, 1), "v");
-  cache.CommitEpoch();
-  // A later abort of a different epoch must not touch the promoted entry.
-  cache.BeginEpoch();
-  cache.AbortEpoch();
-  std::string out;
-  EXPECT_TRUE(cache.Lookup(Vid(1, 1), &out));
+  CommitEpochPromotesInstalls<VersionPayloadCache>();
+}
+TEST(LatestVersionCacheTest, CommitEpochPromotesInstalls) {
+  CommitEpochPromotesInstalls<LatestVersionCache>();
 }
 
 TEST(VersionPayloadCacheTest, EpochOverwriteOfCommittedEntryIsDiscardable) {
-  VersionPayloadCache cache(1 << 20);
-  cache.Insert(Vid(1, 1), "old");
-  cache.BeginEpoch();
-  cache.Insert(Vid(1, 1), "new-uncommitted");
-  cache.AbortEpoch();
-  // The conservative choice: the overwritten entry is dropped entirely
-  // rather than restored (a miss is always safe).
-  std::string out;
-  EXPECT_FALSE(cache.Lookup(Vid(1, 1), &out));
+  EpochOverwriteOfCommittedEntryIsDiscardable<VersionPayloadCache>();
+}
+TEST(LatestVersionCacheTest, EpochOverwriteOfCommittedEntryIsDiscardable) {
+  EpochOverwriteOfCommittedEntryIsDiscardable<LatestVersionCache>();
 }
 
-TEST(LatestVersionCacheTest, InsertLookupEraseAndEviction) {
-  LatestVersionCache cache(2);
-  cache.Insert(ObjectId{1}, 5);
-  cache.Insert(ObjectId{2}, 7);
-  VersionNum out = kNoVersion;
-  ASSERT_TRUE(cache.Lookup(ObjectId{1}, &out));  // 1 becomes MRU.
-  EXPECT_EQ(out, 5u);
-  cache.Insert(ObjectId{3}, 9);  // Evicts 2.
-  EXPECT_FALSE(cache.Lookup(ObjectId{2}, &out));
-  EXPECT_TRUE(cache.Lookup(ObjectId{3}, &out));
-  cache.Erase(ObjectId{1});
-  EXPECT_FALSE(cache.Lookup(ObjectId{1}, &out));
+TEST(VersionPayloadCacheTest, RandomOpsMatchModel) {
+  // One shard: exact LRU under a tight budget; four: striped, roomier.
+  RandomOpsMatchModel<VersionPayloadCache>(301, 12, 1);
+  RandomOpsMatchModel<VersionPayloadCache>(302, 40, 4);
 }
-
-TEST(LatestVersionCacheTest, AbortEpochDiscardsInstalls) {
-  LatestVersionCache cache(16);
-  cache.Insert(ObjectId{1}, 1);
-  cache.BeginEpoch();
-  cache.Insert(ObjectId{1}, 2);  // In-txn newversion.
-  cache.Insert(ObjectId{2}, 1);  // In-txn pnew.
-  cache.AbortEpoch();
-  VersionNum out = kNoVersion;
-  EXPECT_FALSE(cache.Lookup(ObjectId{1}, &out));  // Conservatively dropped.
-  EXPECT_FALSE(cache.Lookup(ObjectId{2}, &out));
+TEST(LatestVersionCacheTest, RandomOpsMatchModel) {
+  RandomOpsMatchModel<LatestVersionCache>(303, 12, 1);
+  RandomOpsMatchModel<LatestVersionCache>(304, 40, 4);
 }
 
 // ---------------------------------------------------------------------------
@@ -520,8 +680,12 @@ TEST_P(CacheTwinPropertyTest, CachedReadsMatchUncachedTwin) {
     EXPECT_EQ(*ba, *bb) << oid;
   }
   // The cached run must actually have exercised the cache.
-  EXPECT_GT(cached->stats().payload_cache_hits +
-                cached->stats().payload_cache_misses,
+  const MetricsRegistry::Snapshot snap = cached->MetricsSnapshot();
+  EXPECT_GT(snap.counter("payload_cache.hits") +
+                snap.counter("payload_cache.misses"),
+            0u);
+  EXPECT_GT(snap.counter("latest_cache.hits") +
+                snap.counter("latest_cache.misses"),
             0u);
 }
 

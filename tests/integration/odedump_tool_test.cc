@@ -17,7 +17,6 @@
 #include "core/database.h"
 #include "core/diagnostics.h"
 #include "storage/env.h"
-#include "tests/testing/json_util.h"
 #include "tests/testing/util.h"
 #include "util/json.h"
 

@@ -40,8 +40,14 @@ class BufferPoolConcurrentTest : public ::testing::Test {
     return "page-" + std::to_string(id) + "-payload";
   }
 
+  /// Counter `name` as the pools' pull hooks report it.
+  uint64_t Count(const char* name) const {
+    return registry_.SnapshotAll().counter(name);
+  }
+
   MemEnv env_;
   std::unique_ptr<DiskManager> disk_;
+  MetricsRegistry registry_;  // Outlives the pools publishing into it.
 };
 
 TEST_F(BufferPoolConcurrentTest, ConcurrentFetchAllResident) {
@@ -52,7 +58,8 @@ TEST_F(BufferPoolConcurrentTest, ConcurrentFetchAllResident) {
 
   // Capacity exceeds the working set: after warm-up everything is a hit and
   // threads only contend on shard mutexes and the LRU lists.
-  BufferPool pool(disk_.get(), /*capacity_pages=*/64, /*shards=*/4);
+  BufferPool pool(disk_.get(), /*capacity_pages=*/64, /*shards=*/4,
+                  &registry_);
 
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
@@ -75,11 +82,10 @@ TEST_F(BufferPoolConcurrentTest, ConcurrentFetchAllResident) {
   for (auto& th : threads) th.join();
 
   EXPECT_EQ(mismatches.load(), 0);
-  const BufferPoolStats stats = pool.stats();
   // Every fetch is accounted exactly once even under contention.
-  EXPECT_EQ(stats.hits + stats.misses,
+  EXPECT_EQ(Count("bufferpool.hits") + Count("bufferpool.misses"),
             static_cast<uint64_t>(kThreads) * kItersPerThread);
-  EXPECT_GE(stats.misses, static_cast<uint64_t>(kPages));
+  EXPECT_GE(Count("bufferpool.misses"), static_cast<uint64_t>(kPages));
 }
 
 TEST_F(BufferPoolConcurrentTest, ConcurrentFetchUnderEvictionPressure) {
@@ -90,7 +96,8 @@ TEST_F(BufferPoolConcurrentTest, ConcurrentFetchUnderEvictionPressure) {
 
   // Capacity far below the working set: threads constantly evict each
   // other's pages and re-fault them from disk.
-  BufferPool pool(disk_.get(), /*capacity_pages=*/8, /*shards=*/4);
+  BufferPool pool(disk_.get(), /*capacity_pages=*/8, /*shards=*/4,
+                  &registry_);
 
   std::atomic<int> mismatches{0};
   std::atomic<int> fetch_errors{0};
@@ -115,7 +122,7 @@ TEST_F(BufferPoolConcurrentTest, ConcurrentFetchUnderEvictionPressure) {
 
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(fetch_errors.load(), 0);
-  EXPECT_GT(pool.stats().evictions, 0u);
+  EXPECT_GT(Count("bufferpool.evictions"), 0u);
   // A shard may end over its capacity slice if the final concurrent fetches
   // hit it while every frame was pinned; one quiescent fetch per shard
   // drains that transient overage, after which residency must respect the
@@ -132,7 +139,8 @@ TEST_F(BufferPoolConcurrentTest, ConcurrentPinChurnProtectsHeldPages) {
   constexpr int kItersPerThread = 800;
   for (PageId id = 1; id <= kPages; ++id) SeedPage(id);
 
-  BufferPool pool(disk_.get(), /*capacity_pages=*/12, /*shards=*/4);
+  BufferPool pool(disk_.get(), /*capacity_pages=*/12, /*shards=*/4,
+                  &registry_);
 
   // Each thread holds a pinned page while churning through the rest, then
   // re-verifies the held page's bytes: eviction must never reclaim a frame
@@ -173,7 +181,8 @@ TEST_F(BufferPoolConcurrentTest, SingleShardStillSafeConcurrently) {
   // depend on striping.
   constexpr PageId kPages = 16;
   for (PageId id = 1; id <= kPages; ++id) SeedPage(id);
-  BufferPool pool(disk_.get(), /*capacity_pages=*/4, /*shards=*/1);
+  BufferPool pool(disk_.get(), /*capacity_pages=*/4, /*shards=*/1,
+                  &registry_);
   ASSERT_EQ(pool.shard_count(), 1u);
 
   std::atomic<int> mismatches{0};

@@ -26,39 +26,45 @@ class BufferPoolTest : public ::testing::Test {
     ASSERT_OK(disk_->WritePage(id, buf));
   }
 
+  /// Counter `name` as the pools' pull hooks report it.
+  uint64_t Count(const char* name) const {
+    return registry_.SnapshotAll().counter(name);
+  }
+
   MemEnv env_;
   std::unique_ptr<DiskManager> disk_;
+  MetricsRegistry registry_;  // Outlives the pools publishing into it.
 };
 
 TEST_F(BufferPoolTest, FetchReadsFromDisk) {
   SeedPage(3, "hello page");
-  BufferPool pool(disk_.get(), 4);
+  BufferPool pool(disk_.get(), 4, /*shards=*/0, &registry_);
   ASSERT_OK_AND_ASSIGN(PageHandle handle, pool.Fetch(3));
   EXPECT_EQ(std::string(handle.data(), 10), "hello page");
-  EXPECT_EQ(pool.stats().misses, 1u);
+  EXPECT_EQ(Count("bufferpool.misses"), 1u);
 }
 
 TEST_F(BufferPoolTest, SecondFetchHitsCache) {
   SeedPage(1, "x");
-  BufferPool pool(disk_.get(), 4);
+  BufferPool pool(disk_.get(), 4, /*shards=*/0, &registry_);
   { ASSERT_OK_AND_ASSIGN(PageHandle h, pool.Fetch(1)); }
   { ASSERT_OK_AND_ASSIGN(PageHandle h, pool.Fetch(1)); }
-  EXPECT_EQ(pool.stats().misses, 1u);
-  EXPECT_EQ(pool.stats().hits, 1u);
+  EXPECT_EQ(Count("bufferpool.misses"), 1u);
+  EXPECT_EQ(Count("bufferpool.hits"), 1u);
 }
 
 TEST_F(BufferPoolTest, EvictionRespectsCapacity) {
-  BufferPool pool(disk_.get(), 2);
+  BufferPool pool(disk_.get(), 2, /*shards=*/0, &registry_);
   for (PageId id = 1; id <= 5; ++id) {
     SeedPage(id, "p");
     ASSERT_OK_AND_ASSIGN(PageHandle h, pool.Fetch(id));
   }
   EXPECT_LE(pool.resident_pages(), 2u);
-  EXPECT_GE(pool.stats().evictions, 3u);
+  EXPECT_GE(Count("bufferpool.evictions"), 3u);
 }
 
 TEST_F(BufferPoolTest, PinnedPagesAreNotEvicted) {
-  BufferPool pool(disk_.get(), 2);
+  BufferPool pool(disk_.get(), 2, /*shards=*/0, &registry_);
   SeedPage(1, "pinned");
   ASSERT_OK_AND_ASSIGN(PageHandle pinned, pool.Fetch(1));
   for (PageId id = 2; id <= 6; ++id) {
@@ -70,7 +76,7 @@ TEST_F(BufferPoolTest, PinnedPagesAreNotEvicted) {
 }
 
 TEST_F(BufferPoolTest, DirtyPagesAreNotEvictedOrWrittenByEviction) {
-  BufferPool pool(disk_.get(), 2);
+  BufferPool pool(disk_.get(), 2, /*shards=*/0, &registry_);
   pool.BeginEpoch();
   {
     ASSERT_OK_AND_ASSIGN(PageHandle h, pool.Fetch(1));
@@ -90,7 +96,7 @@ TEST_F(BufferPoolTest, DirtyPagesAreNotEvictedOrWrittenByEviction) {
 }
 
 TEST_F(BufferPoolTest, PreDirtyHookFiresOncePerEpoch) {
-  BufferPool pool(disk_.get(), 4);
+  BufferPool pool(disk_.get(), 4, /*shards=*/0, &registry_);
   int calls = 0;
   PageId hook_page = kInvalidPageId;
   bool hook_was_dirty = true;
@@ -110,7 +116,7 @@ TEST_F(BufferPoolTest, PreDirtyHookFiresOncePerEpoch) {
 }
 
 TEST_F(BufferPoolTest, HookReportsPreviouslyDirtyPages) {
-  BufferPool pool(disk_.get(), 4);
+  BufferPool pool(disk_.get(), 4, /*shards=*/0, &registry_);
   bool was_dirty = false;
   pool.set_pre_dirty_hook(
       [&](PageId, const char*, bool dirty) { was_dirty = dirty; });
@@ -128,7 +134,7 @@ TEST_F(BufferPoolTest, HookReportsPreviouslyDirtyPages) {
 }
 
 TEST_F(BufferPoolTest, RestorePageRevertsContent) {
-  BufferPool pool(disk_.get(), 4);
+  BufferPool pool(disk_.get(), 4, /*shards=*/0, &registry_);
   std::string before;
   pool.set_pre_dirty_hook([&](PageId, const char* data, bool) {
     before.assign(data, kPageSize);
@@ -141,7 +147,7 @@ TEST_F(BufferPoolTest, RestorePageRevertsContent) {
 }
 
 TEST_F(BufferPoolTest, FlushAllWritesDirtyPages) {
-  BufferPool pool(disk_.get(), 4);
+  BufferPool pool(disk_.get(), 4, /*shards=*/0, &registry_);
   pool.BeginEpoch();
   {
     ASSERT_OK_AND_ASSIGN(PageHandle h, pool.Fetch(2));
@@ -152,11 +158,11 @@ TEST_F(BufferPoolTest, FlushAllWritesDirtyPages) {
   char buf[kPageSize];
   ASSERT_OK(disk_->ReadPage(2, buf));
   EXPECT_EQ(std::string(buf, 7), "flushed");
-  EXPECT_EQ(pool.stats().flushes, 1u);
+  EXPECT_EQ(Count("bufferpool.flushes"), 1u);
 }
 
 TEST_F(BufferPoolTest, FlushAllMidEpochRejected) {
-  BufferPool pool(disk_.get(), 4);
+  BufferPool pool(disk_.get(), 4, /*shards=*/0, &registry_);
   pool.BeginEpoch();
   ASSERT_OK_AND_ASSIGN(PageHandle h, pool.Fetch(1));
   h.mutable_data()[0] = 'z';
@@ -166,16 +172,16 @@ TEST_F(BufferPoolTest, FlushAllMidEpochRejected) {
 
 TEST_F(BufferPoolTest, DropAllUnpinnedForcesReread) {
   SeedPage(1, "on disk");
-  BufferPool pool(disk_.get(), 4);
+  BufferPool pool(disk_.get(), 4, /*shards=*/0, &registry_);
   { ASSERT_OK_AND_ASSIGN(PageHandle h, pool.Fetch(1)); }
   pool.DropAllUnpinned();
   EXPECT_EQ(pool.resident_pages(), 0u);
   ASSERT_OK_AND_ASSIGN(PageHandle h, pool.Fetch(1));
-  EXPECT_EQ(pool.stats().misses, 2u);
+  EXPECT_EQ(Count("bufferpool.misses"), 2u);
 }
 
 TEST_F(BufferPoolTest, MoveSemanticsOfHandle) {
-  BufferPool pool(disk_.get(), 4);
+  BufferPool pool(disk_.get(), 4, /*shards=*/0, &registry_);
   ASSERT_OK_AND_ASSIGN(PageHandle a, pool.Fetch(1));
   PageHandle b = std::move(a);
   EXPECT_FALSE(a.valid());

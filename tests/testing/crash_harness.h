@@ -17,7 +17,6 @@
 #include "core/database.h"
 #include "core/diagnostics.h"
 #include "storage/fault_env.h"
-#include "tests/testing/json_util.h"
 #include "tests/testing/util.h"
 #include "util/event_log.h"
 #include "util/json.h"
@@ -217,25 +216,24 @@ inline void SaveFailingDump(const std::string& workload, CrashTear tear,
 inline std::vector<std::string> VerifyDiagnosticsDump(
     const std::string& dump_json, const RecoveryStats& recovery) {
   std::vector<std::string> violations;
-  std::string parse_error;
-  if (!IsWellFormedJson(dump_json, &parse_error)) {
+  const StatusOr<JsonLeaves> dump = ReadJson(dump_json);
+  if (!dump.ok()) {
     violations.push_back("diagnostics dump is not well-formed JSON: " +
-                         parse_error);
+                         dump.status().ToString());
     return violations;  // Field probes on a broken doc prove nothing.
   }
-  const auto number = [&](const char* key) -> double {
-    const auto v = testing::FindJsonNumber(dump_json, key);
-    if (!v.has_value()) {
-      violations.push_back(std::string("diagnostics dump lacks \"") + key +
-                           "\"");
+  const auto number = [&](const std::string& path) -> double {
+    const auto it = dump->numbers.find(path);
+    if (it == dump->numbers.end()) {
+      violations.push_back("diagnostics dump lacks \"" + path + "\"");
       return 0.0;
     }
-    return *v;
+    return it->second;
   };
-  const double enqueued = number("enqueued_txn");
-  const double appended = number("appended_txn");
-  const double durable = number("durable_txn");
-  const double acked = number("acked_txn");
+  const double enqueued = number("wal.enqueued_txn");
+  const double appended = number("wal.appended_txn");
+  const double durable = number("wal.durable_txn");
+  const double acked = number("wal.acked_txn");
   if (!(durable <= appended && appended <= enqueued)) {
     violations.push_back("watermarks out of order: durable=" +
                          std::to_string(durable) + " appended=" +
@@ -247,18 +245,17 @@ inline std::vector<std::string> VerifyDiagnosticsDump(
                          std::to_string(acked) + " enqueued=" +
                          std::to_string(enqueued));
   }
-  const auto expect_eq = [&](const char* key, uint64_t want) {
-    const double got = number(key);
+  const auto expect_eq = [&](const std::string& key, uint64_t want) {
+    const double got = number("recovery." + key);
     if (got != static_cast<double>(want)) {
-      violations.push_back(std::string("recovery.") + key + " = " +
-                           std::to_string(got) + ", engine reported " +
-                           std::to_string(want));
+      violations.push_back("recovery." + key + " = " + std::to_string(got) +
+                           ", engine reported " + std::to_string(want));
     }
   };
   expect_eq("committed_txns", recovery.committed_txns);
   expect_eq("discarded_txns", recovery.discarded_txns);
-  const auto trigger = testing::FindJsonString(dump_json, "trigger");
-  if (!trigger.has_value() || *trigger != "crash_matrix") {
+  const auto trigger = dump->strings.find("trigger");
+  if (trigger == dump->strings.end() || trigger->second != "crash_matrix") {
     violations.push_back("dump trigger is not \"crash_matrix\"");
   }
   return violations;

@@ -1,6 +1,7 @@
 // Tests for util/json: the strict well-formedness checker that exported
 // documents (diagnostics dumps, METRICS.json, Chrome traces) are validated
-// with, and the writer's escaping as seen through it.
+// with, the reader built on the same grammar, and the writer's escaping as
+// seen through both.
 
 #include "util/json.h"
 
@@ -47,6 +48,44 @@ TEST(JsonCheckTest, WriterOutputIsWellFormed) {
   w.EndObject();
   std::string error;
   EXPECT_TRUE(IsWellFormedJson(w.str(), &error)) << error << "\n" << w.str();
+}
+
+TEST(JsonReadTest, MapsLeavesToDottedPaths) {
+  auto leaves = ReadJson(
+      R"({"a":{"b":[7,"x",{"c":-2.5e1}]},"s":"q\"\u0041\n","t":true,)"
+      R"("metrics":{"counters":{"txn.commits":3}}})");
+  ASSERT_TRUE(leaves.ok()) << leaves.status();
+  EXPECT_EQ(leaves->numbers.at("a.b.0"), 7.0);
+  EXPECT_EQ(leaves->strings.at("a.b.1"), "x");
+  EXPECT_EQ(leaves->numbers.at("a.b.2.c"), -25.0);
+  EXPECT_EQ(leaves->strings.at("s"), "q\"A\n");
+  EXPECT_EQ(leaves->numbers.at("metrics.counters.txn.commits"), 3.0);
+  EXPECT_EQ(leaves->numbers.size(), 3u);  // Booleans are not recorded.
+  EXPECT_EQ(leaves->strings.size(), 2u);
+}
+
+TEST(JsonReadTest, ReadsWriterOutputBack) {
+  JsonWriter w;
+  w.BeginObject();
+  w.KV("name", std::string_view("quote\"back\\slash\tctrl\x01"));
+  w.KV("ratio", 0.25);
+  w.EndObject();
+  auto leaves = ReadJson(w.str());
+  ASSERT_TRUE(leaves.ok()) << leaves.status();
+  EXPECT_EQ(leaves->strings.at("name"), "quote\"back\\slash\tctrl\x01");
+  EXPECT_EQ(leaves->numbers.at("ratio"), 0.25);
+}
+
+TEST(JsonReadTest, RejectsWhatTheCheckerRejectsWithItsError) {
+  for (const char* bad : {"{\"a\":1", "[1,]", "{} extra", "1.", ""}) {
+    std::string error;
+    ASSERT_FALSE(IsWellFormedJson(bad, &error)) << bad;
+    auto leaves = ReadJson(bad);
+    ASSERT_FALSE(leaves.ok()) << bad;
+    EXPECT_TRUE(leaves.status().IsInvalidArgument());
+    EXPECT_NE(leaves.status().message().find(error), std::string::npos)
+        << leaves.status() << " vs " << error;
+  }
 }
 
 }  // namespace

@@ -21,14 +21,12 @@ namespace {
 
 // --- Counter / Gauge ------------------------------------------------------
 
-TEST(CounterTest, AddAndSet) {
+TEST(CounterTest, AddAccumulates) {
   Counter c;
   EXPECT_EQ(c.value(), 0u);
   c.Increment();
   c.Add(41);
   EXPECT_EQ(c.value(), 42u);
-  c.Set(7);
-  EXPECT_EQ(c.value(), 7u);
 }
 
 TEST(GaugeTest, SignedSetAndAdd) {
@@ -235,6 +233,48 @@ TEST(MetricsRegistryTest, SnapshotAllIsSortedAndComplete) {
   ASSERT_EQ(snap.histograms.size(), 1u);
   EXPECT_EQ(snap.histograms[0].second.count, 1u);
   EXPECT_TRUE(std::is_sorted(snap.counters.begin(), snap.counters.end()));
+}
+
+TEST(MetricsRegistryTest, SnapshotLooksUpByName) {
+  MetricsRegistry reg;
+  reg.GetCounter("b.hits")->Add(5);
+  reg.GetCounter("a.hits")->Add(1);
+  reg.GetGauge("depth")->Set(-2);
+  const MetricsRegistry::Snapshot snap = reg.SnapshotAll();
+  EXPECT_EQ(snap.counter("a.hits"), 1u);
+  EXPECT_EQ(snap.counter("b.hits"), 5u);
+  EXPECT_EQ(snap.counter("absent"), 0u);
+  EXPECT_EQ(snap.gauge("depth"), -2);
+  EXPECT_EQ(snap.gauge("b.hits"), 0);  // Kinds do not mix.
+}
+
+TEST(MetricsRegistryTest, PullHooksFeedEverySnapshotUntilRemoved) {
+  MetricsRegistry reg;
+  reg.GetCounter("shared")->Add(1);
+  reg.GetCounter("zz.last")->Add(1);
+  uint64_t kept = 10;
+  auto handle = reg.AddPullHook([&kept](MetricsRegistry::Snapshot* out) {
+    out->counters.emplace_back("pulled", kept);
+    out->counters.emplace_back("shared", 2);  // Summed with the counter.
+    out->gauges.emplace_back("pulled.gauge", -4);
+  });
+  MetricsRegistry::Snapshot snap = reg.SnapshotAll();
+  EXPECT_EQ(snap.counter("pulled"), 10u);
+  EXPECT_EQ(snap.counter("shared"), 3u);
+  EXPECT_EQ(snap.gauge("pulled.gauge"), -4);
+  EXPECT_TRUE(std::is_sorted(snap.counters.begin(), snap.counters.end()));
+  EXPECT_EQ(snap.counters.size(), 3u);
+
+  kept = 11;  // Every snapshot pulls afresh.
+  EXPECT_EQ(reg.SnapshotAll().counter("pulled"), 11u);
+
+  // Moving the handle keeps the registration; resetting it removes it.
+  MetricsRegistry::PullHookHandle moved = std::move(handle);
+  EXPECT_EQ(reg.SnapshotAll().counter("pulled"), 11u);
+  moved.Reset();
+  snap = reg.SnapshotAll();
+  EXPECT_EQ(snap.counter("pulled"), 0u);
+  EXPECT_EQ(snap.counter("shared"), 1u);
 }
 
 // --- Concurrency (names contain "Concurrent" so the TSan CI job picks

@@ -26,83 +26,14 @@
 #include <map>
 #include <string>
 #include <thread>
-#include <vector>
+#include <utility>
 
 #include "core/diagnostics.h"
 #include "storage/env.h"
+#include "util/json.h"
 #include "util/status.h"
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Flat numeric view of a JSON document
-// ---------------------------------------------------------------------------
-//
-// METRICS.json is machine-written (util/json.h), so a linear walker that
-// tracks the object-key stack is enough: every number becomes
-// "path.to.key" -> value.  Strings, booleans and nulls are skipped.  Not a
-// validator — a malformed document yields a partial (possibly empty) map,
-// which the caller reports as "no metrics yet".
-std::map<std::string, double> FlattenJsonNumbers(const std::string& json) {
-  std::map<std::string, double> out;
-  std::vector<std::string> stack;  // Enclosing object keys.
-  std::string pending_key;         // Key awaiting its value.
-  size_t i = 0;
-  const size_t n = json.size();
-  const auto parse_string = [&](std::string* s) {
-    // Called with json[i] == '"'; leaves i one past the closing quote.
-    // Escapes are kept verbatim — metric names never contain them.
-    ++i;
-    s->clear();
-    while (i < n && json[i] != '"') {
-      if (json[i] == '\\' && i + 1 < n) s->push_back(json[i++]);
-      s->push_back(json[i++]);
-    }
-    if (i < n) ++i;
-  };
-  while (i < n) {
-    const char c = json[i];
-    if (c == '"') {
-      std::string s;
-      parse_string(&s);
-      while (i < n && (json[i] == ' ' || json[i] == '\n')) ++i;
-      if (i < n && json[i] == ':') {
-        pending_key = s;
-        ++i;
-      }
-      // A string VALUE is skipped (pending_key already consumed it).
-      continue;
-    }
-    if (c == '{') {
-      stack.push_back(pending_key);
-      pending_key.clear();
-      ++i;
-      continue;
-    }
-    if (c == '}') {
-      if (!stack.empty()) stack.pop_back();
-      ++i;
-      continue;
-    }
-    if ((c >= '0' && c <= '9') || c == '-') {
-      char* end = nullptr;
-      const double value = std::strtod(json.c_str() + i, &end);
-      i = static_cast<size_t>(end - json.c_str());
-      if (!pending_key.empty()) {
-        std::string path;
-        for (const std::string& k : stack) {
-          if (!k.empty()) path += k + ".";
-        }
-        path += pending_key;
-        out[path] = value;
-        pending_key.clear();
-      }
-      continue;
-    }
-    ++i;
-  }
-  return out;
-}
 
 bool HasPrefix(const std::string& s, const char* prefix) {
   return s.compare(0, std::strlen(prefix), prefix) == 0;
@@ -196,12 +127,15 @@ int main(int argc, char** argv) {
                    contents.status().ToString().c_str());
       return 1;
     }
-    const std::map<std::string, double> now = FlattenJsonNumbers(*contents);
-    if (now.empty()) {
-      std::fprintf(stderr, "ode_top: %s holds no metrics yet\n",
-                   metrics_path.c_str());
+    // Every number in the document, keyed "path.to.key" (util/json.h).
+    auto read = ode::ReadJson(*contents);
+    if (!read.ok() || read->numbers.empty()) {
+      std::fprintf(stderr, "ode_top: %s holds no metrics yet%s%s\n",
+                   metrics_path.c_str(), read.ok() ? "" : ": ",
+                   read.ok() ? "" : read.status().ToString().c_str());
       return 1;
     }
+    const std::map<std::string, double> now = std::move(read->numbers);
     double elapsed = 0.0;
     if (have_prev) {
       const auto ts_now = now.find("ts_micros");

@@ -297,31 +297,34 @@ double HitRate(uint64_t hits, uint64_t misses) {
 
 /// Counters are cumulative for this process, so for the read caches they
 /// cover whatever command ran before the report (e.g. `summary` touches
-/// every version).  A freshly opened database reports mostly zeros.  Each
-/// stats() call below returns a coherent snapshot of the component's atomic
-/// counters (pool and caches are lock-striped; the shard counts are shown).
+/// every version).  A freshly opened database reports mostly zeros.  The
+/// counters come from one registry snapshot; pool and caches are
+/// lock-striped, and the shard counts are shown.
 void PrintCacheStats(ode::Database& db) {
-  const ode::BufferPoolStats pool = db.storage().cache_stats();
+  const ode::MetricsRegistry::Snapshot snap = db.MetricsSnapshot();
+  const auto c = [&](const std::string& name) { return snap.counter(name); };
   std::printf("buffer pool:    %" PRIu64 " hits, %" PRIu64
               " misses (%.1f%% hit rate), %" PRIu64 " evictions, %zu shards\n",
-              pool.hits, pool.misses, HitRate(pool.hits, pool.misses),
-              pool.evictions, db.storage().buffer_pool().shard_count());
+              c("bufferpool.hits"), c("bufferpool.misses"),
+              HitRate(c("bufferpool.hits"), c("bufferpool.misses")),
+              c("bufferpool.evictions"),
+              db.storage().buffer_pool().shard_count());
   const ode::VersionPayloadCache& payload = db.payload_cache();
-  const ode::PayloadCacheStats ps = payload.stats();
   std::printf("payload cache:  %" PRIu64 " hits, %" PRIu64
               " misses (%.1f%% hit rate), %zu shards\n",
-              ps.hits, ps.misses, HitRate(ps.hits, ps.misses),
+              c("payload_cache.hits"), c("payload_cache.misses"),
+              HitRate(c("payload_cache.hits"), c("payload_cache.misses")),
               payload.shard_count());
   std::printf("  entries:      %zu (%" PRIu64 " / %" PRIu64 " bytes)\n",
-              payload.entries(), payload.bytes_in_use(),
-              payload.byte_budget());
+              payload.entries(), payload.charge_in_use(), payload.budget());
   std::printf("  evictions:    %" PRIu64 "  invalidations: %" PRIu64
               "  epoch discards: %" PRIu64 "\n",
-              ps.evictions, ps.invalidations, ps.epoch_discards);
-  const ode::PayloadCacheStats ls = db.latest_cache().stats();
+              c("payload_cache.evictions"), c("payload_cache.invalidations"),
+              c("payload_cache.epoch_discards"));
   std::printf("latest cache:   %" PRIu64 " hits, %" PRIu64
               " misses (%.1f%% hit rate), %zu entries, %zu shards\n",
-              ls.hits, ls.misses, HitRate(ls.hits, ls.misses),
+              c("latest_cache.hits"), c("latest_cache.misses"),
+              HitRate(c("latest_cache.hits"), c("latest_cache.misses")),
               db.latest_cache().entries(), db.latest_cache().shard_count());
 }
 
@@ -464,21 +467,19 @@ int Stats(ode::Database& db, const std::string& format) {
   // (1.00 = solo-writer discipline; higher = batching is working), and a
   // non-zero async-pending gauge means acked-but-not-yet-durable commits
   // are still in flight.
-  {
-    const ode::VersionStats vs = db.stats();
-    const double ratio =
-        vs.group_commit_fsyncs == 0
-            ? 0.0
-            : static_cast<double>(vs.group_commit_commits) /
-                  static_cast<double>(vs.group_commit_fsyncs);
-    std::printf("--- group commit ---\n");
-    std::printf("batches:        %" PRIu64 "\n", vs.group_commit_batches);
-    std::printf("commits:        %" PRIu64 "\n", vs.group_commit_commits);
-    std::printf("fsyncs:         %" PRIu64 " (%.2f commits/fsync)\n",
-                vs.group_commit_fsyncs, ratio);
-    std::printf("async pending:  %" PRIu64 "\n", vs.async_pending);
-  }
   const ode::MetricsRegistry::Snapshot snap = db.MetricsSnapshot();
+  const uint64_t gc_commits = snap.counter("groupcommit.commits");
+  const uint64_t gc_fsyncs = snap.counter("groupcommit.fsyncs");
+  std::printf("--- group commit ---\n");
+  std::printf("batches:        %" PRIu64 "\n",
+              snap.counter("groupcommit.batches"));
+  std::printf("commits:        %" PRIu64 "\n", gc_commits);
+  std::printf("fsyncs:         %" PRIu64 " (%.2f commits/fsync)\n", gc_fsyncs,
+              gc_fsyncs == 0 ? 0.0
+                             : static_cast<double>(gc_commits) /
+                                   static_cast<double>(gc_fsyncs));
+  std::printf("async pending:  %" PRId64 "\n",
+              snap.gauge("groupcommit.async_pending"));
   std::printf("--- counters ---\n");
   for (const auto& [name, value] : snap.counters) {
     std::printf("%-32s %12" PRIu64 "\n", name.c_str(), value);
