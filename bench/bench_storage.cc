@@ -15,7 +15,6 @@ namespace {
 
 struct BenchEngine {
   std::unique_ptr<MemEnv> env;
-  std::unique_ptr<MetricsRegistry> registry;
   std::unique_ptr<StorageEngine> engine;
   StorageEngine* operator->() { return engine.get(); }
 };
@@ -29,8 +28,6 @@ BenchEngine OpenEngine(size_t pool_pages = 4096,
   options.path = "/bench";
   options.buffer_pool_pages = pool_pages;
   options.event_log = event_log;
-  handle.registry = std::make_unique<MetricsRegistry>();
-  options.metrics = handle.registry.get();
   auto engine = StorageEngine::Open(options);
   ODE_CHECK(engine.ok());
   handle.engine = std::move(*engine);
@@ -190,7 +187,7 @@ void BM_PoolHitRatio(benchmark::State& state) {
   engine->buffer_pool().DropAllUnpinned();
 
   Random rng(3);
-  const MetricsRegistry::Snapshot before = engine.registry->SnapshotAll();
+  const MetricsRegistry::Snapshot before = engine->metrics_registry().SnapshotAll();
   for (auto _ : state) {
     Status s = engine->WithTxn([&](Txn& txn) -> Status {
       auto bytes =
@@ -201,7 +198,7 @@ void BM_PoolHitRatio(benchmark::State& state) {
     });
     ODE_CHECK(s.ok());
   }
-  const MetricsRegistry::Snapshot after = engine.registry->SnapshotAll();
+  const MetricsRegistry::Snapshot after = engine->metrics_registry().SnapshotAll();
   const auto delta = [&](const char* name) {
     return static_cast<double>(after.counter(name) - before.counter(name));
   };

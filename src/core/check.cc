@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "core/cursor.h"
+#include "storage/btree.h"
 #include "storage/payload_store.h"
 
 namespace ode {
@@ -220,6 +221,26 @@ StatusOr<CheckReport> CheckDatabase(Database& db) {
                " versions is missing from the store");
     }
   }
+
+  // Pass 4: B+tree node layout, page by page.
+  Status node_status = db.storage().WithReadTxn([&](ReadTxn& txn) -> Status {
+    auto pages = txn.PageCount();
+    if (!pages.ok()) return pages.status();
+    for (PageId pid = 1; pid < *pages; ++pid) {
+      auto handle = txn.Fetch(pid);
+      if (!handle.ok()) return handle.status();
+      const auto type = static_cast<PageType>(handle->data()[0]);
+      if (type != PageType::kBTreeLeaf && type != PageType::kBTreeInternal) {
+        continue;
+      }
+      ++report.btree_nodes_checked;
+      if (Status s = BTree::CheckNode(handle->data()); !s.ok()) {
+        complain("btree page " + std::to_string(pid) + ": " + s.ToString());
+      }
+    }
+    return Status::OK();
+  });
+  if (!node_status.ok()) return node_status;
 
   return report;
 }

@@ -18,6 +18,7 @@ struct CheckReport {
   /// Content-addressed payload store audit (pass 3).
   uint64_t payload_blobs_checked = 0;  ///< Index entries examined.
   uint64_t payload_refs_checked = 0;   ///< Version references tallied.
+  uint64_t btree_nodes_checked = 0;    ///< B+tree node pages audited (pass 4).
   /// Human-readable invariant violations; empty means the database is
   /// consistent.
   std::vector<std::string> errors;
@@ -39,7 +40,12 @@ struct CheckReport {
 ///  - per content-addressed blob: its refcount equals the number of version
 ///    metas naming its hash, the record id matches, and there is neither an
 ///    orphan blob (no referencing version) nor a dangling reference (version
-///    names a hash absent from the store).
+///    names a hash absent from the store);
+///  - per B+tree node page (every tree, emptied nodes included): the
+///    layout invariants in-place edits rely on — cell area at or past the
+///    directory end, cells in bounds, decodable, non-overlapping and
+///    key-ordered, fragmented bytes equal to the cell area's dead bytes
+///    (BTree::CheckNode).
 ///
 /// Used after crash-recovery and randomized-workload tests, and available
 /// to applications as a fsck-style facility.

@@ -122,10 +122,9 @@ StatusOr<std::unique_ptr<Database>> Database::Open(
       options.payload_cache_bytes, db->registry_.get(), "payload_cache");
   db->latest_cache_ = std::make_unique<LatestVersionCache>(
       options.latest_cache_entries, db->registry_.get(), "latest_cache");
-  // The storage engine records into the same registry and journal unless the
-  // caller explicitly routed it elsewhere.
+  // The storage engine records into the same registry, and into the same
+  // journal unless the caller explicitly routed it elsewhere.
   StorageOptions storage = options.storage;
-  if (storage.metrics == nullptr) storage.metrics = db->registry_.get();
   if (storage.event_log == nullptr) storage.event_log = db->event_log_.get();
   // Flight recorder: when the engine poisons itself, its background thread
   // fires this hook — dump everything while the evidence is fresh.  A
@@ -167,7 +166,7 @@ StatusOr<std::unique_ptr<Database>> Database::Open(
       if (user_end) user_end(committed);
     };
   }
-  auto engine = StorageEngine::Open(storage);
+  auto engine = StorageEngine::Open(storage, db->registry_.get());
   if (!engine.ok()) return engine.status();
   db->engine_ = std::move(*engine);
   // Materialize the catalog trees (and the payload index) so their root

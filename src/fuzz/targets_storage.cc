@@ -241,9 +241,12 @@ int PageSlotted(const uint8_t* data, size_t size) {
   return 0;
 }
 
-/// B+tree node decode: corrupt a real database's pages, reopen through the
-/// real engine, and run every read path (point get, both scan directions,
-/// seeks).  Typed Corruption or missing data — never a crash.
+/// B+tree node decode and in-place edit: corrupt a real database's pages,
+/// reopen through the real engine, and run every read path (point get,
+/// both scan directions, seeks), then a write transaction that inserts,
+/// replaces with shorter and longer values, and deletes — the paths that
+/// trust the header's cell-area start and fragmented-byte count.  Success,
+/// missing data or a typed Corruption — never a crash.
 int PageBtree(const uint8_t* data, size_t size) {
   const BaselineDb& base = Baseline();
   if (base.image.empty()) return 0;
@@ -269,6 +272,23 @@ int PageBtree(const uint8_t* data, size_t size) {
     it.SeekForPrev(Slice("key05"));
     return Status::OK();
   });
+  const Status write = (*engine)->WithTxn([](Txn& txn) -> Status {
+    auto tree = BTree::Open(&txn, 0);
+    if (!tree.ok()) return tree.status();
+    ODE_RETURN_IF_ERROR(tree->Put(Slice("key010"), Slice("short")));
+    ODE_RETURN_IF_ERROR(
+        tree->Put(Slice("key020"), Slice(std::string(600, 'L'))));
+    ODE_RETURN_IF_ERROR(tree->Put(Slice("key0305"), Slice("new entry")));
+    ODE_RETURN_IF_ERROR(tree->Delete(Slice("key040")));
+    for (int i = 0; i < 8; ++i) {
+      // Enough bytes to force compaction and a split of the hot leaf.
+      const std::string key = "key05" + std::to_string(i);
+      ODE_RETURN_IF_ERROR(
+          tree->Put(Slice(key), Slice(std::string(400, 'S'))));
+    }
+    return Status::OK();
+  });
+  ODE_FUZZ_REQUIRE(write.ok() || write.IsCorruption() || write.IsNotFound());
   (*engine)->Shutdown();
   return 0;
 }

@@ -20,8 +20,9 @@ namespace ode {
 ///  - One node per page.  Leaves are doubly linked for ordered scans in both
 ///    directions; internal nodes hold (separator key, child) entries plus a
 ///    leftmost child.
-///  - Put() inserts or replaces.  Nodes split when full; the root grows a
-///    level when it splits.
+///  - Put() inserts or replaces, editing the node page in place (no
+///    whole-node decode).  A node splits only when its live entries no
+///    longer fit one page; the root grows a level when it splits.
 ///  - Delete() removes the entry.  Emptied nodes are left in place (no merge
 ///    or page reclamation — the vacuum strategy of several production trees);
 ///    iteration and lookup skip them.
@@ -84,11 +85,11 @@ class BTree {
     Status status() const { return status_; }
 
     /// Positions at the first entry >= `target`.
-    void Seek(const Slice& target);
+    void Seek(const Slice& target) { SeekLeaf(target, +1); }
     /// Positions at the last entry <= `target`.
-    void SeekForPrev(const Slice& target);
-    void SeekToFirst();
-    void SeekToLast();
+    void SeekForPrev(const Slice& target) { SeekLeaf(target, -1); }
+    void SeekToFirst() { SeekEdge(-1); }
+    void SeekToLast() { SeekEdge(+1); }
     void Next();
     void Prev();
 
@@ -96,10 +97,19 @@ class BTree {
     friend class BTree;
     Iterator(PageIO* io, PageId root) : io_(io), root_(root) {}
 
-    /// Loads entry `index` of leaf `leaf` into key_/value_.
+    /// Records a failure (invalidating the iterator); returns s.ok().
+    bool Ok(const Status& s);
+    /// Loads entry index_ of leaf_ into key_/value_.
     void LoadCurrent();
     /// Advances to the next non-empty leaf (direction +1/-1), or invalidates.
     void StepLeaf(int direction);
+    /// Loads entry `index` of leaf_ if it is one of its `count` entries,
+    /// else steps to the neighbouring leaf in `direction`.
+    void PositionAt(int index, int count, int direction);
+    /// Seek (direction +1) and SeekForPrev (-1).
+    void SeekLeaf(const Slice& target, int direction);
+    /// SeekToFirst (direction -1) and SeekToLast (+1).
+    void SeekEdge(int direction);
 
     PageIO* io_;
     PageId root_;
@@ -118,6 +128,13 @@ class BTree {
 
   Iterator NewIterator() { return Iterator(io_, root_); }
 
+  /// Validates one node page without trusting it: page type, entry count,
+  /// cell-area start at or past the directory end, every cell inside the
+  /// cell area, decodable and non-overlapping, keys strictly ascending, and
+  /// the fragmented-byte count equal to the cell area's dead bytes.  The
+  /// fsck (core/check.h) runs it over every node page.
+  static Status CheckNode(const char* page);
+
   PageId root() const { return root_; }
 
  private:
@@ -132,6 +149,12 @@ class BTree {
   /// upward as needed.
   Status InsertIntoInternal(std::vector<PageId>& path, int level,
                             std::string key, PageId child);
+
+  /// Splits the node at path[level] (`page`), whose `cells` — its entries
+  /// plus the one being inserted — no longer fit one page: byte-balanced
+  /// halves, the right one in a new page, separator inserted upward.
+  Status SplitNode(std::vector<PageId>& path, int level, char* page,
+                   const std::vector<Slice>& cells);
 
   /// Makes a new root holding separator `key` between `left` and `right`.
   Status GrowRoot(PageId left, std::string key, PageId right);

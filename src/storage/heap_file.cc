@@ -1,5 +1,6 @@
 #include "storage/heap_file.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "storage/slotted_page.h"
@@ -15,9 +16,38 @@ PageType TypeOf(const char* page) {
 
 }  // namespace
 
+void FreeSpaceIndex::Set(PageId id, uint32_t free) {
+  if (id >= leaves_) {
+    if (free == 0) return;
+    size_t leaves = std::max<size_t>(leaves_, 64);
+    while (leaves <= id) leaves *= 2;
+    std::vector<uint32_t> grown(2 * leaves, 0);
+    std::copy(tree_.begin() + leaves_, tree_.end(), grown.begin() + leaves);
+    for (size_t i = leaves - 1; i > 0; --i) {
+      grown[i] = std::max(grown[2 * i], grown[2 * i + 1]);
+    }
+    leaves_ = leaves;
+    tree_ = std::move(grown);
+  }
+  size_t i = leaves_ + id;
+  tree_[i] = free;
+  for (i /= 2; i > 0; i /= 2) {
+    tree_[i] = std::max(tree_[2 * i], tree_[2 * i + 1]);
+  }
+}
+
+PageId FreeSpaceIndex::FirstFit(uint32_t need) const {
+  if (leaves_ == 0 || tree_[1] < need) return kInvalidPageId;
+  size_t i = 1;
+  while (i < leaves_) {
+    i = tree_[2 * i] >= need ? 2 * i : 2 * i + 1;
+  }
+  return static_cast<PageId>(i - leaves_);
+}
+
 Status HeapFile::EnsureCache(PageIO* io) {
   if (cache_valid_) return Status::OK();
-  space_cache_.clear();
+  space_cache_.Clear();
   uint32_t page_count = 0;
   {
     auto pc = io->PageCount();
@@ -29,7 +59,7 @@ Status HeapFile::EnsureCache(PageIO* io) {
     if (!handle.ok()) return handle.status();
     if (TypeOf(handle->data()) == PageType::kHeap) {
       SlottedPage view(const_cast<char*>(handle->data()));
-      space_cache_[id] = view.FreeSpace();
+      space_cache_.Set(id, view.FreeSpace());
     }
   }
   cache_valid_ = true;
@@ -38,16 +68,15 @@ Status HeapFile::EnsureCache(PageIO* io) {
 
 StatusOr<PageId> HeapFile::PickPage(PageIO* io, uint32_t need) {
   ODE_RETURN_IF_ERROR(EnsureCache(io));
-  for (const auto& [id, free] : space_cache_) {
-    if (free >= need) return id;
-  }
+  const PageId fit = space_cache_.FirstFit(need);
+  if (fit != kInvalidPageId) return fit;
   auto id = io->AllocatePage();
   if (!id.ok()) return id.status();
   auto handle = io->Fetch(*id);
   if (!handle.ok()) return handle.status();
   SlottedPage view(handle->mutable_data());
   view.Init();
-  space_cache_[*id] = view.FreeSpace();
+  space_cache_.Set(*id, view.FreeSpace());
   return *id;
 }
 
@@ -97,7 +126,7 @@ StatusOr<RecordId> HeapFile::Insert(PageIO* io, const Slice& payload) {
   SlottedPage view(handle->mutable_data());
   auto slot = view.Insert(Slice(cell));
   if (!slot.ok()) return slot.status();
-  space_cache_[*pid] = view.FreeSpace();
+  space_cache_.Set(*pid, view.FreeSpace());
   return RecordId{*pid, *slot};
 }
 
@@ -185,14 +214,14 @@ Status HeapFile::Delete(PageIO* io, RecordId rid) {
   }
   ODE_RETURN_IF_ERROR(view.Delete(rid.slot));
   const bool page_empty = view.LiveSlots() == 0;
-  if (cache_valid_) space_cache_[rid.page] = view.FreeSpace();
+  if (cache_valid_) space_cache_.Set(rid.page, view.FreeSpace());
   handle->Release();
   if (overflow_head != kInvalidPageId) {
     ODE_RETURN_IF_ERROR(FreeOverflowChain(io, overflow_head));
   }
   if (page_empty) {
     ODE_RETURN_IF_ERROR(io->FreePage(rid.page));
-    if (cache_valid_) space_cache_.erase(rid.page);
+    if (cache_valid_) space_cache_.Erase(rid.page);
   }
   return Status::OK();
 }

@@ -3,8 +3,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "storage/page_io.h"
 #include "storage/page.h"
@@ -38,6 +38,26 @@ struct HeapStats {
   uint32_t overflow_pages = 0;
   uint64_t live_records = 0;
   uint64_t live_bytes = 0;
+};
+
+/// Free-space index over heap pages: answers "the lowest page id with at
+/// least `need` free bytes" in O(log pages).  A max-segment-tree over page
+/// ids; a page that is not a heap page holds 0, so it never matches (every
+/// request needs at least one byte).
+class FreeSpaceIndex {
+ public:
+  /// Records that heap page `id` has `free` bytes (0 removes it).
+  void Set(PageId id, uint32_t free);
+  void Erase(PageId id) { Set(id, 0); }
+  void Clear() { tree_.assign(tree_.size(), 0); }
+
+  /// Lowest page id whose free bytes are >= `need` (need >= 1), or
+  /// kInvalidPageId when no page has room.
+  PageId FirstFit(uint32_t need) const;
+
+ private:
+  size_t leaves_ = 0;           ///< Power of two; page id = leaf index.
+  std::vector<uint32_t> tree_;  ///< Node i covers children 2i and 2i+1.
 };
 
 /// Record store over slotted pages, with overflow chains for records larger
@@ -95,7 +115,7 @@ class HeapFile {
   Status FreeOverflowChain(PageIO* io, PageId head);
 
   bool cache_valid_ = false;
-  std::map<PageId, uint32_t> space_cache_;  // heap page -> free bytes
+  FreeSpaceIndex space_cache_;  // heap page -> free bytes
 };
 
 }  // namespace ode

@@ -55,6 +55,9 @@ struct StorageMetrics {
   // Checkpoints.
   Counter* checkpoints = nullptr;
   Histogram* checkpoint_ns = nullptr;
+  /// Write admissions that found the WAL past its stall limit and ran a
+  /// checkpoint before opening the transaction.
+  Counter* wal_stalls = nullptr;
 
   // Background-task health heartbeats (steady-clock microseconds, written
   // by the task itself via Gauge::Set — lock-free) and the lag gauges
@@ -103,6 +106,7 @@ struct StorageMetrics {
     btree_descend_ns = registry->GetHistogram("btree.descend_ns");
     checkpoints = registry->GetCounter("storage.checkpoints");
     checkpoint_ns = registry->GetHistogram("storage.checkpoint_ns");
+    wal_stalls = registry->GetCounter("wal.stalls");
     hb_checkpointer_us = registry->GetGauge("health.checkpointer_heartbeat_us");
     hb_gc_leader_us = registry->GetGauge("health.gc_leader_heartbeat_us");
     hb_vacuum_us = registry->GetGauge("health.vacuum_heartbeat_us");

@@ -20,22 +20,30 @@ StatusOr<std::unique_ptr<Wal>> Wal::Open(Env* env, const std::string& path) {
 
 namespace {
 
-/// Wraps `payload` in the on-disk frame (u32 length | u32 masked CRC32C)
-/// and appends the framed bytes to `*out`.
-void Frame(const std::string& payload, std::string* out) {
-  PutFixed32(out, static_cast<uint32_t>(payload.size()));
-  PutFixed32(out,
-             crc32c::Mask(crc32c::Value(payload.data(), payload.size())));
-  out->append(payload);
+/// Opens a record in `*out`: reserves its 8-byte frame header and returns
+/// the header's offset.  The payload is then encoded straight into `*out`.
+size_t OpenFrame(std::string* out) {
+  const size_t at = out->size();
+  out->append(8, '\0');
+  return at;
+}
+
+/// Closes the record opened at `at`: patches the header with the length and
+/// masked CRC32C of the payload bytes that follow it.
+void CloseFrame(std::string* out, size_t at) {
+  char* header = out->data() + at;
+  const size_t length = out->size() - at - 8;
+  EncodeFixed32(header, static_cast<uint32_t>(length));
+  EncodeFixed32(header + 4, crc32c::Mask(crc32c::Value(header + 8, length)));
 }
 
 }  // namespace
 
 void Wal::EncodeBegin(uint64_t txn_id, std::string* out) {
-  std::string payload;
-  payload.push_back(static_cast<char>(WalRecordType::kBegin));
-  PutVarint64(&payload, txn_id);
-  Frame(payload, out);
+  const size_t frame = OpenFrame(out);
+  out->push_back(static_cast<char>(WalRecordType::kBegin));
+  PutVarint64(out, txn_id);
+  CloseFrame(out, frame);
 }
 
 void Wal::EncodePageImage(uint64_t txn_id, PageId page_id, const char* image,
@@ -45,21 +53,20 @@ void Wal::EncodePageImage(uint64_t txn_id, PageId page_id, const char* image,
   size_t effective = kPageSize;
   while (effective > 0 && image[effective - 1] == '\0') --effective;
 
-  std::string payload;
-  payload.reserve(1 + 10 + 4 + 5 + effective);
-  payload.push_back(static_cast<char>(WalRecordType::kPageImage));
-  PutVarint64(&payload, txn_id);
-  PutFixed32(&payload, page_id);
-  PutVarint64(&payload, effective);
-  payload.append(image, effective);
-  Frame(payload, out);
+  const size_t frame = OpenFrame(out);
+  out->push_back(static_cast<char>(WalRecordType::kPageImage));
+  PutVarint64(out, txn_id);
+  PutFixed32(out, page_id);
+  PutVarint64(out, effective);
+  out->append(image, effective);
+  CloseFrame(out, frame);
 }
 
 void Wal::EncodeCommit(uint64_t txn_id, std::string* out) {
-  std::string payload;
-  payload.push_back(static_cast<char>(WalRecordType::kCommit));
-  PutVarint64(&payload, txn_id);
-  Frame(payload, out);
+  const size_t frame = OpenFrame(out);
+  out->push_back(static_cast<char>(WalRecordType::kCommit));
+  PutVarint64(out, txn_id);
+  CloseFrame(out, frame);
 }
 
 Status Wal::AppendBlob(const std::string& framed, uint64_t record_count) {
@@ -75,25 +82,6 @@ Status Wal::AppendBlob(const std::string& framed, uint64_t record_count) {
     metrics_->wal_append_bytes->Add(framed.size());
   }
   return Status::OK();
-}
-
-Status Wal::AppendBegin(uint64_t txn_id) {
-  std::string framed;
-  EncodeBegin(txn_id, &framed);
-  return AppendBlob(framed, 1);
-}
-
-Status Wal::AppendPageImage(uint64_t txn_id, PageId page_id,
-                            const char* image) {
-  std::string framed;
-  EncodePageImage(txn_id, page_id, image, &framed);
-  return AppendBlob(framed, 1);
-}
-
-Status Wal::AppendCommit(uint64_t txn_id) {
-  std::string framed;
-  EncodeCommit(txn_id, &framed);
-  return AppendBlob(framed, 1);
 }
 
 Status Wal::Sync() {

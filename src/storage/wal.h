@@ -58,19 +58,12 @@ class Wal {
  public:
   static StatusOr<std::unique_ptr<Wal>> Open(Env* env, const std::string& path);
 
-  Status AppendBegin(uint64_t txn_id);
-  Status AppendPageImage(uint64_t txn_id, PageId page_id, const char* image);
-  Status AppendCommit(uint64_t txn_id);
-
-  // -- Group-commit support --------------------------------------------------
-  //
   // A committing transaction serializes its whole record sequence (Begin,
   // PageImages, Commit) into one pre-framed blob under the engine's apply
   // latch, then hands the blob to the group-commit queue; the leader writes
   // many blobs with one Append each and a single fsync.  Each Encode* call
-  // appends one fully framed record (identical wire format to the Append*
-  // methods above) to `*out`, so a recovered log cannot tell batched and
-  // unbatched commits apart.
+  // appends one fully framed record to `*out`, encoding the payload in place
+  // and patching the frame header once the payload is known.
 
   static void EncodeBegin(uint64_t txn_id, std::string* out);
   static void EncodePageImage(uint64_t txn_id, PageId page_id,

@@ -2,6 +2,13 @@
 
 #include <array>
 
+#include "util/coding.h"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <nmmintrin.h>
+#define ODE_CRC32C_SSE42 1
+#endif
+
 namespace ode {
 namespace crc32c {
 
@@ -27,15 +34,54 @@ const std::array<uint32_t, 256>& Table() {
   return table;
 }
 
+#ifdef ODE_CRC32C_SSE42
+/// The SSE4.2 `crc32` instruction computes the same Castagnoli CRC (same
+/// reflected polynomial, same pre/post inversion) eight bytes at a time.
+__attribute__((target("sse4.2"))) uint32_t ExtendSse42(uint32_t init_crc,
+                                                        const char* data,
+                                                        size_t n) {
+  uint64_t crc = init_crc ^ 0xffffffffu;
+  for (; n >= 8; n -= 8, data += 8) {
+    crc = _mm_crc32_u64(crc, DecodeFixed64(data));
+  }
+  uint32_t crc32 = static_cast<uint32_t>(crc);
+  for (; n > 0; --n, ++data) {
+    crc32 = _mm_crc32_u8(crc32, static_cast<uint8_t>(*data));
+  }
+  return crc32 ^ 0xffffffffu;
+}
+#endif
+
+using ExtendFn = uint32_t (*)(uint32_t, const char*, size_t);
+
+ExtendFn PickExtend() {
+#ifdef ODE_CRC32C_SSE42
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sse4.2")) return ExtendSse42;
+#endif
+  return ExtendPortable;
+}
+
+/// Chosen once, on first use (a function-local static, so callers from
+/// other translation units' static initializers are safe too).
+ExtendFn Chosen() {
+  static const ExtendFn fn = PickExtend();
+  return fn;
+}
+
 }  // namespace
 
-uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n) {
   const auto& table = Table();
   uint32_t crc = init_crc ^ 0xffffffffu;
   for (size_t i = 0; i < n; ++i) {
     crc = table[(crc ^ static_cast<uint8_t>(data[i])) & 0xff] ^ (crc >> 8);
   }
   return crc ^ 0xffffffffu;
+}
+
+uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
+  return Chosen()(init_crc, data, n);
 }
 
 }  // namespace crc32c

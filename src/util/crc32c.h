@@ -8,9 +8,14 @@ namespace ode {
 namespace crc32c {
 
 /// Returns the CRC-32C (Castagnoli) of data[0, n), extending `init_crc`.
-/// Pure software table implementation; used to checksum pages and WAL
-/// records.
+/// Used to checksum WAL records.  Runs on the SSE4.2 `crc32` instruction
+/// when the CPU has it, else on the portable table code; both give the
+/// same value.
 uint32_t Extend(uint32_t init_crc, const char* data, size_t n);
+
+/// The portable table implementation behind Extend().  Exposed so tests
+/// can check the hardware path against it.
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n);
 
 /// CRC of data[0, n).
 inline uint32_t Value(const char* data, size_t n) { return Extend(0, data, n); }

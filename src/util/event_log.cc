@@ -238,6 +238,8 @@ const char* EventLog::TypeName(EventType t) {
       return "health";
     case EventType::kSpan:
       return "span";
+    case EventType::kWalStall:
+      return "wal_stall";
   }
   return "unknown";
 }

@@ -63,6 +63,8 @@ enum class EventType : uint8_t {
   kHealth = 10,         ///< a=state (0 ok / 1 degraded / 2 poisoned)
   kSpan = 11,           ///< a=steady start ns, b=duration_ns;
                         ///< detail = span name ("<category>.<op>")
+  kWalStall = 12,       ///< a=wal backlog bytes, b=stall limit bytes,
+                        ///< c=stall duration_us (admission ran a checkpoint)
 };
 
 enum class EventSeverity : uint8_t {

@@ -128,6 +128,54 @@ TEST_F(CheckTest, ConsistentAfterCrashRecovery) {
   EXPECT_EQ(report->versions_checked, 2u);
 }
 
+// Pass 4 audits B+tree node layout page by page: a leaf whose fragmented
+// count no longer matches its dead bytes (the field in-place inserts trust
+// to decide whether compaction makes room) is reported, not accepted.
+TEST_F(CheckTest, FlagsBTreeNodeWithWrongFragmentedCount) {
+  MemEnv env;
+  DatabaseOptions options;
+  options.storage.env = &env;
+  options.storage.path = "/nodes";
+  options.clock = &clock_;
+  {
+    ASSERT_OK_AND_ASSIGN(auto db, Database::Open(options));
+    ASSERT_OK_AND_ASSIGN(uint32_t type, db->RegisterType("raw"));
+    for (int i = 0; i < 50; ++i) {
+      ASSERT_TRUE(db->PnewRaw(type, Slice(std::string(100, 'x'))).ok());
+    }
+    ASSERT_OK_AND_ASSIGN(CheckReport clean, CheckDatabase(*db));
+    EXPECT_TRUE(clean.ok()) << clean.errors.front();
+    EXPECT_GT(clean.btree_nodes_checked, 0u);
+  }
+  ASSERT_OK_AND_ASSIGN(auto file, env.OpenFile("/nodes/data.odb"));
+  ASSERT_OK_AND_ASSIGN(uint64_t size, file->Size());
+  std::string scratch;
+  Slice bytes;
+  ASSERT_OK(file->Read(0, size, &scratch, &bytes));
+  std::string image = bytes.ToString();
+  bool corrupted = false;
+  for (size_t off = kPageSize; off + kPageSize <= image.size();
+       off += kPageSize) {
+    if (static_cast<uint8_t>(image[off]) ==
+        static_cast<uint8_t>(PageType::kBTreeLeaf)) {
+      image[off + 12] = static_cast<char>(image[off + 12] + 1);
+      corrupted = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(corrupted);
+  ASSERT_OK(file->Write(0, Slice(image)));
+
+  ASSERT_OK_AND_ASSIGN(auto db, Database::Open(options));
+  ASSERT_OK_AND_ASSIGN(CheckReport report, CheckDatabase(*db));
+  ASSERT_FALSE(report.ok());
+  bool named = false;
+  for (const std::string& e : report.errors) {
+    if (e.find("fragmented") != std::string::npos) named = true;
+  }
+  EXPECT_TRUE(named) << report.errors.front();
+}
+
 TEST_F(CheckTest, CountsPayloadBytes) {
   MustPnew(std::string(1000, 'a'));
   MustPnew(std::string(500, 'b'));

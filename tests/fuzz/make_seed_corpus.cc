@@ -335,6 +335,19 @@ void DirectiveSeeds() {
     AppendPoke(&type_flip, base + 0,
                static_cast<uint8_t>(ode::PageType::kBTreeInternal));
     WriteSeed("page_btree", "leaf-type-flip", type_flip);
+    // Cell-area start (bytes 10..11) one past the page end: an in-place
+    // insert that trusted it would write its cell across the page end.
+    std::string cell_start_oob;
+    AppendPoke(&cell_start_oob, base + 10, 0x01);
+    AppendPoke(&cell_start_oob, base + 11, 0x10);
+    WriteSeed("page_btree", "leaf-cell-start-oob", cell_start_oob);
+    // Fragmented bytes (12..13) far past the free space: an insert that
+    // trusted it would compact, still find no gap, and write the cell over
+    // the directory.
+    std::string frag_overflow;
+    AppendPoke(&frag_overflow, base + 12, 0xff);
+    AppendPoke(&frag_overflow, base + 13, 0x0f);
+    WriteSeed("page_btree", "leaf-frag-overflow", frag_overflow);
   }
   if (internal != 0) {
     // Null leftmost-child pointer in an internal node (bytes 4..7).

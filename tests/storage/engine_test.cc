@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "storage/btree.h"
+#include "util/event_log.h"
 #include "tests/testing/util.h"
 
 namespace ode {
@@ -21,7 +22,6 @@ class EngineTest : public ::testing::Test {
     StorageOptions options;
     options.env = &env_;
     options.path = "/db";
-    options.metrics = &registry_;
     auto engine = StorageEngine::Open(options);
     ASSERT_TRUE(engine.ok()) << engine.status();
     engine_ = std::move(*engine);
@@ -33,7 +33,6 @@ class EngineTest : public ::testing::Test {
   }
 
   MemEnv env_;
-  MetricsRegistry registry_;  // Outlives every engine opened on it.
   std::unique_ptr<StorageEngine> engine_;
 };
 
@@ -259,6 +258,73 @@ TEST_F(EngineTest, AutoCheckpointAfterWalThreshold) {
   EXPECT_LT(e->wal_bytes(), 2 * options.checkpoint_wal_bytes);
 }
 
+// Admission caps the WAL.  Closed-loop writers that never pause can keep
+// re-taking the apply latch the background checkpointer waits for; without
+// the cap the log then grows far past its threshold (and MemEnv's file
+// buffer keeps the doubled capacity after truncation).  Past
+// wal_stall_bytes() the next transaction checkpoints first, so the log
+// exceeds that limit by at most one transaction's records: here each logs
+// ~5 KB, so it stays within 1.5x the threshold at every sample.  The name
+// carries "Concurrent" so the TSan job runs it.
+TEST_F(EngineTest, ConcurrentWritersKeepWalUnderCap) {
+  engine_.reset();
+  EventLog journal(4096);
+  StorageOptions options;
+  options.env = &env_;
+  options.path = "/capdb";
+  options.checkpoint_wal_bytes = 64 * 1024;
+  options.event_log = &journal;
+  ASSERT_OK_AND_ASSIGN(auto engine, StorageEngine::Open(options));
+  const uint64_t cap = options.checkpoint_wal_bytes * 3 / 2;
+  EXPECT_LE(engine->wal_stall_bytes(), cap);
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> peak{0};
+  std::thread sampler([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      const uint64_t now = engine->wal_bytes();
+      if (now > peak.load(std::memory_order_relaxed)) {
+        peak.store(now, std::memory_order_relaxed);
+      }
+      std::this_thread::yield();
+    }
+  });
+  constexpr int kWriters = 3;
+  constexpr int kCommitsEach = 400;
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      const std::string payload(1000, static_cast<char>('a' + w));
+      for (int i = 0; i < kCommitsEach; ++i) {
+        ASSERT_OK(engine->WithTxn([&](Txn& txn) -> Status {
+          auto r = engine->heap().Insert(&txn, Slice(payload));
+          return r.ok() ? Status::OK() : r.status();
+        }));
+        EXPECT_LE(engine->wal_bytes(), cap);
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  stop.store(true, std::memory_order_relaxed);
+  sampler.join();
+
+  EXPECT_LE(peak.load(), cap);
+  EXPECT_LE(engine->wal_bytes(), cap);
+  EXPECT_GT(engine->checkpoint_count(), 0u);
+  // Every stall is counted and journaled.
+  std::vector<EventRecord> events;
+  journal.Snapshot(&events);
+  uint64_t stall_records = 0;
+  for (const EventRecord& e : events) {
+    if (e.type != EventType::kWalStall) continue;
+    ++stall_records;
+    EXPECT_GT(e.a, engine->wal_stall_bytes());
+    EXPECT_EQ(e.b, engine->wal_stall_bytes());
+  }
+  EXPECT_EQ(stall_records,
+            engine->metrics_registry().SnapshotAll().counter("wal.stalls"));
+}
+
 // Regression test for the monitoring-counter data race the thread-safety
 // annotation pass surfaced: commit_count()/checkpoint_count()/wal_bytes()/
 // wal_total_bytes() are read from arbitrary threads while the writer thread
@@ -279,7 +345,8 @@ TEST_F(EngineTest, ConcurrentStatsReadersDuringCommits) {
         sink += engine_->checkpoint_count();
         sink += engine_->wal_bytes();
         sink += engine_->wal_total_bytes();
-        sink += registry_.SnapshotAll().counter("bufferpool.hits");
+        sink += engine_->metrics_registry().SnapshotAll().counter(
+            "bufferpool.hits");
       }
       static_cast<void>(sink);
       // Monotonic counters: stop is only set after the last commit, so the

@@ -254,5 +254,41 @@ TEST_F(HeapFileTest, RecordIdEncodeDecodeRoundTrip) {
   EXPECT_FALSE(RecordId{}.valid());
 }
 
+// The free-space index must pick exactly the page the first-fit linear scan
+// over a page-id-ordered map would: the lowest id with enough room.  Ids
+// grow past the index's initial width to exercise its regrowth.
+TEST(FreeSpaceIndexTest, MatchesLinearFirstFitScan) {
+  Random rng(7);
+  FreeSpaceIndex index;
+  std::map<PageId, uint32_t> model;
+  for (int step = 0; step < 20000; ++step) {
+    const PageId id =
+        static_cast<PageId>(1 + rng.Uniform(step < 10000 ? 200 : 3000));
+    switch (rng.Uniform(4)) {
+      case 0:
+        index.Erase(id);
+        model.erase(id);
+        break;
+      default: {
+        const uint32_t free = static_cast<uint32_t>(rng.Uniform(kPageSize));
+        index.Set(id, free);
+        model[id] = free;
+        break;
+      }
+    }
+    const uint32_t need = static_cast<uint32_t>(1 + rng.Uniform(kPageSize));
+    PageId expected = kInvalidPageId;
+    for (const auto& [pid, free] : model) {
+      if (free >= need) {
+        expected = pid;
+        break;
+      }
+    }
+    ASSERT_EQ(index.FirstFit(need), expected) << "step " << step;
+  }
+  index.Clear();
+  EXPECT_EQ(index.FirstFit(1), kInvalidPageId);
+}
+
 }  // namespace
 }  // namespace ode

@@ -44,9 +44,11 @@ TEST_P(WalFuzzTest, BitFlippedValidLogNeverReplaysCorruptPages) {
     ASSERT_TRUE(wal.ok());
     std::string image(kPageSize, 'p');
     for (uint64_t t = 1; t <= 5; ++t) {
-      ASSERT_OK((*wal)->AppendBegin(t));
-      ASSERT_OK((*wal)->AppendPageImage(t, static_cast<PageId>(t), image.data()));
-      ASSERT_OK((*wal)->AppendCommit(t));
+      std::string blob;
+      Wal::EncodeBegin(t, &blob);
+      Wal::EncodePageImage(t, static_cast<PageId>(t), image.data(), &blob);
+      Wal::EncodeCommit(t, &blob);
+      ASSERT_OK((*wal)->AppendBlob(blob, 3));
     }
   }
   std::string pristine;

@@ -28,15 +28,33 @@ class WalTest : public ::testing::Test {
     disk_ = std::move(*disk);
   }
 
+  // One record per AppendBlob: the log a sequence of single-record commits
+  // writes, so records interleave however a test needs.
+  Status AppendBegin(uint64_t txn_id) {
+    std::string blob;
+    Wal::EncodeBegin(txn_id, &blob);
+    return wal_->AppendBlob(blob, 1);
+  }
+  Status AppendPageImage(uint64_t txn_id, PageId page_id, const char* image) {
+    std::string blob;
+    Wal::EncodePageImage(txn_id, page_id, image, &blob);
+    return wal_->AppendBlob(blob, 1);
+  }
+  Status AppendCommit(uint64_t txn_id) {
+    std::string blob;
+    Wal::EncodeCommit(txn_id, &blob);
+    return wal_->AppendBlob(blob, 1);
+  }
+
   MemEnv env_;
   std::unique_ptr<Wal> wal_;
   std::unique_ptr<DiskManager> disk_;
 };
 
 TEST_F(WalTest, AppendAndReadAll) {
-  ASSERT_OK(wal_->AppendBegin(1));
-  ASSERT_OK(wal_->AppendPageImage(1, 7, PageWith("page seven").data()));
-  ASSERT_OK(wal_->AppendCommit(1));
+  ASSERT_OK(AppendBegin(1));
+  ASSERT_OK(AppendPageImage(1, 7, PageWith("page seven").data()));
+  ASSERT_OK(AppendCommit(1));
   ASSERT_OK(wal_->Sync());
 
   ASSERT_OK_AND_ASSIGN(auto records, wal_->ReadAll());
@@ -50,9 +68,9 @@ TEST_F(WalTest, AppendAndReadAll) {
 }
 
 TEST_F(WalTest, RecoverAppliesCommittedTxn) {
-  ASSERT_OK(wal_->AppendBegin(1));
-  ASSERT_OK(wal_->AppendPageImage(1, 3, PageWith("committed").data()));
-  ASSERT_OK(wal_->AppendCommit(1));
+  ASSERT_OK(AppendBegin(1));
+  ASSERT_OK(AppendPageImage(1, 3, PageWith("committed").data()));
+  ASSERT_OK(AppendCommit(1));
   ASSERT_OK(wal_->Sync());
 
   ASSERT_OK_AND_ASSIGN(RecoveryStats stats, wal_->Recover(disk_.get()));
@@ -64,8 +82,8 @@ TEST_F(WalTest, RecoverAppliesCommittedTxn) {
 }
 
 TEST_F(WalTest, RecoverSkipsUncommittedTxn) {
-  ASSERT_OK(wal_->AppendBegin(1));
-  ASSERT_OK(wal_->AppendPageImage(1, 3, PageWith("never committed").data()));
+  ASSERT_OK(AppendBegin(1));
+  ASSERT_OK(AppendPageImage(1, 3, PageWith("never committed").data()));
   // No commit record: the crash happened mid-transaction.
   ASSERT_OK(wal_->Sync());
 
@@ -79,12 +97,12 @@ TEST_F(WalTest, RecoverSkipsUncommittedTxn) {
 }
 
 TEST_F(WalTest, LaterImageOfSamePageWins) {
-  ASSERT_OK(wal_->AppendBegin(1));
-  ASSERT_OK(wal_->AppendPageImage(1, 3, PageWith("first").data()));
-  ASSERT_OK(wal_->AppendCommit(1));
-  ASSERT_OK(wal_->AppendBegin(2));
-  ASSERT_OK(wal_->AppendPageImage(2, 3, PageWith("second").data()));
-  ASSERT_OK(wal_->AppendCommit(2));
+  ASSERT_OK(AppendBegin(1));
+  ASSERT_OK(AppendPageImage(1, 3, PageWith("first").data()));
+  ASSERT_OK(AppendCommit(1));
+  ASSERT_OK(AppendBegin(2));
+  ASSERT_OK(AppendPageImage(2, 3, PageWith("second").data()));
+  ASSERT_OK(AppendCommit(2));
   ASSERT_OK(wal_->Sync());
 
   ASSERT_OK_AND_ASSIGN(RecoveryStats stats, wal_->Recover(disk_.get()));
@@ -95,9 +113,9 @@ TEST_F(WalTest, LaterImageOfSamePageWins) {
 }
 
 TEST_F(WalTest, TornTailIsDropped) {
-  ASSERT_OK(wal_->AppendBegin(1));
-  ASSERT_OK(wal_->AppendPageImage(1, 2, PageWith("good").data()));
-  ASSERT_OK(wal_->AppendCommit(1));
+  ASSERT_OK(AppendBegin(1));
+  ASSERT_OK(AppendPageImage(1, 2, PageWith("good").data()));
+  ASSERT_OK(AppendCommit(1));
   ASSERT_OK(wal_->Sync());
   // Simulate a torn append: write garbage half-record at the end.
   ASSERT_OK_AND_ASSIGN(auto file, env_.OpenFile("/wal"));
@@ -110,10 +128,10 @@ TEST_F(WalTest, TornTailIsDropped) {
 }
 
 TEST_F(WalTest, CorruptedRecordStopsScan) {
-  ASSERT_OK(wal_->AppendBegin(1));
-  ASSERT_OK(wal_->AppendCommit(1));
-  ASSERT_OK(wal_->AppendBegin(2));
-  ASSERT_OK(wal_->AppendCommit(2));
+  ASSERT_OK(AppendBegin(1));
+  ASSERT_OK(AppendCommit(1));
+  ASSERT_OK(AppendBegin(2));
+  ASSERT_OK(AppendCommit(2));
   // Flip a byte inside the second record pair's payload.
   ASSERT_OK_AND_ASSIGN(auto file, env_.OpenFile("/wal"));
   ASSERT_OK_AND_ASSIGN(uint64_t size, file->Size());
@@ -134,12 +152,12 @@ TEST_F(WalTest, ZeroSuppressionShrinksRecordsLosslessly) {
   std::string sparse(kPageSize, '\0');
   sparse.replace(0, 5, "head!");
   std::string dense(kPageSize, 'x');
-  ASSERT_OK(wal_->AppendBegin(1));
-  ASSERT_OK(wal_->AppendPageImage(1, 1, sparse.data()));
+  ASSERT_OK(AppendBegin(1));
+  ASSERT_OK(AppendPageImage(1, 1, sparse.data()));
   const uint64_t after_sparse = wal_->bytes_appended();
-  ASSERT_OK(wal_->AppendPageImage(1, 2, dense.data()));
+  ASSERT_OK(AppendPageImage(1, 2, dense.data()));
   const uint64_t after_dense = wal_->bytes_appended();
-  ASSERT_OK(wal_->AppendCommit(1));
+  ASSERT_OK(AppendCommit(1));
   ASSERT_OK(wal_->Sync());
   EXPECT_LT(after_sparse, 200u);  // ~5 bytes of payload + framing.
   EXPECT_GT(after_dense - after_sparse, kPageSize);  // Full image.
@@ -155,9 +173,9 @@ TEST_F(WalTest, ZeroSuppressionShrinksRecordsLosslessly) {
 
 TEST_F(WalTest, AllZeroPageImageRoundTrips) {
   std::string zeros(kPageSize, '\0');
-  ASSERT_OK(wal_->AppendBegin(1));
-  ASSERT_OK(wal_->AppendPageImage(1, 3, zeros.data()));
-  ASSERT_OK(wal_->AppendCommit(1));
+  ASSERT_OK(AppendBegin(1));
+  ASSERT_OK(AppendPageImage(1, 3, zeros.data()));
+  ASSERT_OK(AppendCommit(1));
   ASSERT_OK_AND_ASSIGN(auto records, wal_->ReadAll());
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(records[1].image.size(), kPageSize);
@@ -165,8 +183,8 @@ TEST_F(WalTest, AllZeroPageImageRoundTrips) {
 }
 
 TEST_F(WalTest, TruncateEmptiesLog) {
-  ASSERT_OK(wal_->AppendBegin(1));
-  ASSERT_OK(wal_->AppendCommit(1));
+  ASSERT_OK(AppendBegin(1));
+  ASSERT_OK(AppendCommit(1));
   ASSERT_OK(wal_->Truncate());
   ASSERT_OK_AND_ASSIGN(auto records, wal_->ReadAll());
   EXPECT_TRUE(records.empty());
@@ -181,11 +199,11 @@ TEST_F(WalTest, EmptyLogRecoversCleanly) {
 
 TEST_F(WalTest, InterleavedTransactionsRecoverIndependently) {
   // T1 commits, T2 does not; their page images interleave.
-  ASSERT_OK(wal_->AppendBegin(1));
-  ASSERT_OK(wal_->AppendBegin(2));
-  ASSERT_OK(wal_->AppendPageImage(2, 5, PageWith("t2 page").data()));
-  ASSERT_OK(wal_->AppendPageImage(1, 4, PageWith("t1 page").data()));
-  ASSERT_OK(wal_->AppendCommit(1));
+  ASSERT_OK(AppendBegin(1));
+  ASSERT_OK(AppendBegin(2));
+  ASSERT_OK(AppendPageImage(2, 5, PageWith("t2 page").data()));
+  ASSERT_OK(AppendPageImage(1, 4, PageWith("t1 page").data()));
+  ASSERT_OK(AppendCommit(1));
   ASSERT_OK(wal_->Sync());
 
   ASSERT_OK_AND_ASSIGN(RecoveryStats stats, wal_->Recover(disk_.get()));

@@ -30,6 +30,34 @@ TEST(Crc32cTest, ExtendMatchesOneShot) {
   }
 }
 
+// The hardware path (when the CPU has one) must give the portable table
+// code's value for every length the WAL produces and at every alignment,
+// including across split Extend calls.  (Without the instruction both
+// sides run the table code and the test is trivially green.)
+TEST(Crc32cTest, HardwareMatchesPortable) {
+  std::string buf(8192 + 8, '\0');
+  uint32_t state = 0x12345678u;
+  for (char& c : buf) {
+    state = state * 1103515245u + 12345u;
+    c = static_cast<char>(state >> 24);
+  }
+  for (size_t align = 0; align < 8; ++align) {
+    const char* data = buf.data() + align;
+    for (size_t n = 0; n <= 8192; ++n) {
+      ASSERT_EQ(crc32c::Extend(0, data, n),
+                crc32c::ExtendPortable(0, data, n))
+          << "len " << n << " align " << align;
+    }
+  }
+  const char* data = buf.data() + 3;
+  for (size_t split = 0; split <= 300; ++split) {
+    const uint32_t head = crc32c::Extend(0x9e3779b9u, data, split);
+    ASSERT_EQ(crc32c::Extend(head, data + split, 4096 - split),
+              crc32c::ExtendPortable(0x9e3779b9u, data, 4096))
+        << "split " << split;
+  }
+}
+
 TEST(Crc32cTest, MaskRoundTrip) {
   for (uint32_t crc : {0u, 1u, 0xdeadbeefu, 0xffffffffu,
                        crc32c::Value("abc", 3)}) {

@@ -274,6 +274,8 @@ int Verify(ode::Database& db) {
   std::printf("refcounts: %" PRIu64 " blobs audited against %" PRIu64
               " version references\n",
               report->payload_blobs_checked, report->payload_refs_checked);
+  std::printf("nodes:    %" PRIu64 " B+tree node pages audited\n",
+              report->btree_nodes_checked);
 
   if (violations > 0) {
     std::printf("verify FAILED: %" PRIu64 " violations\n", violations);
