@@ -1,6 +1,7 @@
 #include "util/metrics.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cctype>
 #include <cstdio>
@@ -204,10 +205,17 @@ Histogram* MetricsRegistry::GetHistogram(std::string_view name) {
 MetricsRegistry::Snapshot MetricsRegistry::SnapshotAll() const {
   MutexLock lock(mu_);
   Snapshot snap;
+  // Counters are read in descending name order, then listed ascending.  A
+  // component that bumps "x.a", then a release fence, then "x.b" (group
+  // commit counts a batch's commits before its fsync) keeps x.b <= x.a at
+  // every instant; reading x.b first, then an acquire fence, keeps that
+  // true within one snapshot, too.
   snap.counters.reserve(counters_.size());
-  for (const auto& [name, c] : counters_) {
-    snap.counters.emplace_back(name, c->value());
+  for (auto it = counters_.rbegin(); it != counters_.rend(); ++it) {
+    snap.counters.emplace_back(it->first, it->second->value());
+    std::atomic_thread_fence(std::memory_order_acquire);
   }
+  std::reverse(snap.counters.begin(), snap.counters.end());
   snap.gauges.reserve(gauges_.size());
   for (const auto& [name, g] : gauges_) {
     snap.gauges.emplace_back(name, g->value());

@@ -193,21 +193,30 @@ TEST_F(HealthTest, FreshDatabaseIsOk) {
 TEST_F(HealthTest, WalBacklogDegrades) {
   db_.reset();
   DatabaseOptions options = MakeOptions();
-  // One byte of WAL backlog already exceeds the limit; the checkpointer is
-  // effectively never "caught up".
-  options.storage.health_max_wal_backlog_bytes = 1;
-  // Keep the automatic checkpointer from erasing the backlog mid-assert.
-  options.storage.checkpoint_wal_bytes = 1ull << 40;
+  // A one-byte checkpoint threshold puts any commit's records past the
+  // stall limit.  The health verdict is taken inside the commit's apply
+  // section, where the latch it holds keeps the background checkpointer
+  // (and the next writer's stall) from truncating the log mid-assert.
+  options.storage.checkpoint_wal_bytes = 1;
+  bool armed = false;
+  HealthReport report;
+  options.storage.on_apply_end = [&](bool committed) {
+    if (!armed || !committed) return;
+    report = db_->HealthCheck();
+    armed = false;
+  };
   auto db = Database::Open(options);
   ASSERT_OK(db.status());
   db_ = std::move(*db);
   SetUpRawType();
-  MustPnew("enough bytes to out-size the one-byte backlog limit");
+  armed = true;
+  MustPnew("enough bytes to out-size the stall limit");
+  ASSERT_FALSE(armed);
 
-  const HealthReport report = db_->HealthCheck();
   EXPECT_EQ(report.state, HealthState::kDegraded);
   ASSERT_FALSE(report.reasons.empty());
   EXPECT_NE(report.reasons[0].find("wal backlog"), std::string::npos);
+  EXPECT_GT(report.wal_backlog_bytes, options.storage.checkpoint_wal_bytes);
 }
 
 // --- Slow-op journaling ---------------------------------------------------
